@@ -15,6 +15,7 @@ from .gp import (
     Prediction,
     RejectionPolicy,
     TrainedGP,
+    ZeroRejection,
     accuracy,
     decision_grid,
     fit_classification_laplace,

@@ -191,6 +191,13 @@ class ExperimentConfig:
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
+    """The validated config: file values, then non-None `overrides`."""
+    cfg = _read_config(path, overrides)
+    cfg.validate()
+    return cfg
+
+
+def _read_config(path: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
         try:
@@ -210,7 +217,6 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    cfg.validate()
     return cfg
 
 
@@ -583,7 +589,8 @@ def _apply_extra_flags(cfg: ExperimentConfig, args: argparse.Namespace):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
+        # validate (which fills in dataset-dependent defaults) only once every flag is applied
+        cfg = _read_config(args.config, _overrides_from_args(args))
         _apply_extra_flags(cfg, args)
         cfg.validate()
         return run(args.subcommand, cfg)

@@ -25,6 +25,7 @@ __all__ = [
     "load_csv",
     "split",
     "normalize",
+    "rows_in",
 ]
 
 
@@ -233,3 +234,13 @@ def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:
     scale = np.where(std > 0, std, 1.0)
     stats = NormStats(shift, scale)
     return Dataset(stats.apply(dataset.features), dataset.labels, dataset.feature_names), stats
+
+
+def rows_in(table, rows) -> np.ndarray:
+    """Boolean mask: True where a row of `rows` equals some row of `table`.
+
+    Rows compare by value, so -0.0 and 0.0 match.
+    """
+    # adding 0.0 turns -0.0 into 0.0, so equal values have equal bytes
+    keys = {row.tobytes() for row in np.asarray(table, dtype=float) + 0.0}
+    return np.array([row.tobytes() in keys for row in np.asarray(rows, dtype=float) + 0.0], dtype=bool)

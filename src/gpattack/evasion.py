@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gp import NumericalError, TrainedGP, latent_gradient, latent_mean, latent_mean_batch
+from .gp import NumericalError, TrainedGP, ZeroRejection, latent_gradient, latent_mean, latent_mean_batch
 
 __all__ = [
     "AttackConfig",
@@ -266,8 +266,7 @@ def adversarial_accuracy(
     means = latent_mean_batch(victim, points)
     correct = np.sign(means) == labels
     if zero_rejection_eps is not None:
-        rejected = (np.abs(means) < zero_rejection_eps) | (means == 0.0)
-        correct = correct | rejected
+        correct |= ZeroRejection(zero_rejection_eps).mask(means)
     return float(correct.mean())
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import Dataset
+from .data import Dataset, rows_in
 from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
 from .kernels import RBF, KernelSpec
 
@@ -398,11 +398,6 @@ SWEEP_REGIMES = ("same", "mixed", "disjoint")
 SWEEP_MODELS = 50
 
 
-def _check_disjoint_rows(a: np.ndarray, b: np.ndarray) -> bool:
-    a_rows = {row.tobytes() for row in np.ascontiguousarray(a)}
-    return not any(row.tobytes() in a_rows for row in np.ascontiguousarray(b))
-
-
 def estimate_lengthscale_sweep(
     oracle: ModelOracle,
     attacker_data: Dataset,
@@ -424,7 +419,7 @@ def estimate_lengthscale_sweep(
         raise ValueError("true_l_hint must be positive")
     if holdout.n < 1:
         raise ValueError("holdout must be nonempty")
-    if not _check_disjoint_rows(attacker_data.features, holdout.features):
+    if np.any(rows_in(attacker_data.features, holdout.features)):
         raise ValueError("holdout must be disjoint from the attacker's training data")
 
     start_count = oracle.query_count

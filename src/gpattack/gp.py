@@ -28,6 +28,7 @@ __all__ = [
     "FactorizationError",
     "NumericalError",
     "RejectionPolicy",
+    "ZeroRejection",
     "Prediction",
     "TrainedGP",
     "DecisionGrid",
@@ -83,9 +84,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Rejection:
+    """A rejection rule on latent means. Subclasses define `mask(means)`,
+    True where a mean is rejected; every rejection-aware prediction in the
+    package goes through `mask` or `labels`."""
+
+    def labels(self, means) -> np.ndarray:
+        """REJECT (0) where `mask` holds, else +1 for a positive mean and -1
+        otherwise."""
+        means = np.asarray(means, dtype=float)
+        return np.where(self.mask(means), REJECT, np.where(means > 0, 1, -1))
+
+    def rejects(self, mean: float) -> bool:
+        return bool(self.mask(mean))
+
+
 @dataclass(frozen=True)
-class RejectionPolicy:
-    """Reject a sample iff its latent mean m satisfies -1+tau0 <= m <= 1-tau1."""
+class RejectionPolicy(_Rejection):
+    """Band rejection: reject a sample iff its latent mean m satisfies
+    -1+tau0 <= m <= 1-tau1 (both edges rejected)."""
 
     tau0: float
     tau1: float
@@ -94,15 +111,38 @@ class RejectionPolicy:
         if not (0.0 < self.tau0 < 1.0 and 0.0 < self.tau1 < 1.0):
             raise ValueError("tau0 and tau1 must lie in (0, 1)")
 
-    def rejects(self, mean: float) -> bool:
-        return -1.0 + self.tau0 <= mean <= 1.0 - self.tau1
+    def mask(self, means) -> np.ndarray:
+        means = np.asarray(means, dtype=float)
+        return (-1.0 + self.tau0 <= means) & (means <= 1.0 - self.tau1)
+
+
+@dataclass(frozen=True)
+class ZeroRejection(_Rejection):
+    """Zero-mean rejection: reject a sample iff |m| < eps, or m == 0 exactly.
+
+    A latent mean near zero signals a query far from all training data. An
+    exactly zero mean is rejected for any eps, since it has no sign.
+    """
+
+    eps: float = 1e-3
+
+    def __post_init__(self):
+        if self.eps < 0:
+            raise ValueError("zero-rejection eps must be nonnegative")
+
+    def mask(self, means) -> np.ndarray:
+        means = np.asarray(means, dtype=float)
+        return (np.abs(means) < self.eps) | (means == 0.0)
 
 
 @dataclass(frozen=True)
 class Prediction:
+    """Prediction at one point. `mean` is the latent (pre-link) mean
+    K_x^T alpha; `class_probability` is its logistic link, present only for
+    classification models."""
+
     mean: float
     variance: float
-    latent_mean: float
     class_probability: float | None = None
 
 
@@ -111,9 +151,12 @@ class TrainedGP:
     """Immutable fitted model.
 
     `alpha` are the representer weights: the latent mean at x is
-    K(x, train)^T alpha. `chol` factorizes K + jitter*I for regression,
-    or B = I + sqrt(W) K sqrt(W) for classification (with `sqrt_w` the
-    square root of the logistic Hessian at the latent mode).
+    K(x, train)^T alpha, with K built with `jitter` added to its diagonal.
+    `chol` is the lower Cholesky factor of K for regression, or of
+    B = I + sqrt(W) K sqrt(W) for classification, where `sqrt_w` is the
+    square root of the logistic Hessian W at the latent mode `latent_mode`.
+    `latent_mode` and `sqrt_w` are None for regression. `load_gp` rebuilds
+    `chol` and `sqrt_w` from the other fields.
     """
 
     spec: KernelSpec
@@ -153,11 +196,30 @@ def _default_jitter(spec: KernelSpec, jitter: float | None) -> float:
     return float(jitter)
 
 
+def _jittered_gram(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray:
+    """K(X, X) + jitter*I."""
+    K = kernel_matrix(spec, X, X)
+    K[np.diag_indices_from(K)] += jitter
+    return K
+
+
+def _laplace_factor(K: np.ndarray, f: np.ndarray):
+    """Laplace quantities at latent values f (Rasmussen & Williams 2006,
+    Alg. 3.1): the logistic probabilities pi, the Hessian diagonal W, its
+    square root, and the lower Cholesky factor of B = I + sqrt(W) K sqrt(W)."""
+    pi = expit(f)
+    w = pi * (1.0 - pi)
+    sw = np.sqrt(w)
+    B = np.eye(len(f)) + sw[:, None] * K * sw[None, :]
+    return pi, w, sw, _cholesky_lower(B)
+
+
 def fit_regression(spec: KernelSpec, data: Dataset, jitter: float | None = None) -> TrainedGP:
     """Exact GP regression on labels in {-1, +1}: alpha solves (K + jitter*I) alpha = y."""
     jitter = _default_jitter(spec, jitter)
-    K = kernel_matrix(spec, data.features, data.features)
-    K[np.diag_indices_from(K)] += jitter
+    # K stays referenced until return: freed before cho_solve, it lets malloc
+    # trim the heap, and the next refit faults its pages in again
+    K = _jittered_gram(spec, data.features, jitter)
     chol = _cholesky_lower(K)
     alpha = cho_solve((chol, True), data.labels)
     return TrainedGP(
@@ -200,8 +262,7 @@ def fit_classification_laplace(
         raise ValueError("classification needs both classes in the training data")
     jitter = _default_jitter(spec, jitter)
 
-    K = kernel_matrix(spec, data.features, data.features)
-    K[np.diag_indices_from(K)] += jitter
+    K = _jittered_gram(spec, data.features, jitter)
     n = data.n
     y01 = (labels + 1.0) / 2.0
 
@@ -214,11 +275,7 @@ def fit_classification_laplace(
     if objective_history is not None:
         objective_history.append(objective(f, a))
     for iteration in range(max_iter):
-        pi = expit(f)
-        w = pi * (1.0 - pi)
-        sw = np.sqrt(w)
-        B = np.eye(n) + sw[:, None] * K * sw[None, :]
-        chol_b = _cholesky_lower(B)
+        pi, w, sw, chol_b = _laplace_factor(K, f)
         b = w * f + (y01 - pi)
         a_prop = b - sw * cho_solve((chol_b, True), sw * (K @ b))
         f_prop = K @ a_prop
@@ -245,10 +302,7 @@ def fit_classification_laplace(
         if change < tol:
             break
 
-    pi = expit(f)
-    sw = np.sqrt(pi * (1.0 - pi))
-    B = np.eye(n) + sw[:, None] * K * sw[None, :]
-    chol_b = _cholesky_lower(B)
+    _, _, sw, chol_b = _laplace_factor(K, f)
     return TrainedGP(
         spec=spec,
         train_features=data.features.copy(),
@@ -306,30 +360,18 @@ def predict(gp: TrainedGP, x) -> Prediction:
     means, variances = predict_batch(gp, x[None, :])
     mean = float(means[0])
     prob = float(expit(mean)) if gp.mode == CLASSIFICATION else None
-    return Prediction(mean=mean, variance=float(variances[0]), latent_mean=mean, class_probability=prob)
+    return Prediction(mean=mean, variance=float(variances[0]), class_probability=prob)
 
 
-def predict_with_rejection(gp: TrainedGP, x, policy: RejectionPolicy) -> int:
-    """+1/-1 by the sign of the latent mean, or REJECT (0) inside the band
-    [-1+tau0, 1-tau1]."""
-    m = latent_mean(gp, x)
-    if policy.rejects(m):
-        return REJECT
-    return 1 if m > 0 else -1
+def predict_with_rejection(gp: TrainedGP, x, policy: RejectionPolicy | ZeroRejection) -> int:
+    """+1/-1 by the sign of the latent mean, or REJECT (0) where `policy`
+    rejects it."""
+    return int(policy.labels(latent_mean(gp, x)))
 
 
 def predict_with_zero_rejection(gp: TrainedGP, x, eps: float = 1e-3) -> int:
-    """Reject when the latent mean is (numerically) zero, i.e. |m| < eps.
-
-    A latent mean near zero signals a query far from all training data.
-    An exactly zero mean is rejected for any eps, since it has no sign.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    m = latent_mean(gp, x)
-    if abs(m) < eps or m == 0.0:
-        return REJECT
-    return 1 if m > 0 else -1
+    """predict_with_rejection under ZeroRejection(eps)."""
+    return predict_with_rejection(gp, x, ZeroRejection(eps))
 
 
 def latent_gradient(gp: TrainedGP, x) -> np.ndarray:
@@ -365,7 +407,7 @@ def decision_grid(
     gp: TrainedGP,
     bounds,
     resolution: int,
-    policy: RejectionPolicy | None = None,
+    policy: RejectionPolicy | ZeroRejection | None = None,
 ) -> DecisionGrid:
     """Evaluate the model over a resolution x resolution grid of a 2-D box.
 
@@ -382,37 +424,28 @@ def decision_grid(
     g0, g1 = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([g0.ravel(), g1.ravel()])
     means, variances = predict_batch(gp, points)
-    if policy is None:
-        labels = np.sign(means).astype(int)
-    else:
-        rejected = (-1.0 + policy.tau0 <= means) & (means <= 1.0 - policy.tau1)
-        labels = np.where(rejected, REJECT, np.where(means > 0, 1, -1)).astype(int)
+    labels = np.sign(means).astype(int) if policy is None else policy.labels(means)
     return DecisionGrid(points=points, labels=labels, means=means, variances=variances, resolution=resolution)
 
 
 def accuracy(
     gp: TrainedGP,
     data: Dataset,
-    policy: RejectionPolicy | float | None = None,
+    policy: RejectionPolicy | ZeroRejection | float | None = None,
 ) -> dict:
     """Accuracy over a dataset, optionally with a rejection rule.
 
-    `policy` may be a RejectionPolicy, a float eps for zero-mean rejection,
-    or None for forced classification. Rejected points count as errors
-    (the Acc_r convention); `reject_rate` reports their fraction.
+    `policy` may be a RejectionPolicy, a ZeroRejection, a float eps meaning
+    ZeroRejection(eps), or None for forced classification. Rejected points
+    count as errors (the Acc_r convention); `reject_rate` reports their
+    fraction.
     """
     if data.n < 1:
         raise ValueError("dataset must be nonempty")
+    if policy is not None and not isinstance(policy, _Rejection):
+        policy = ZeroRejection(float(policy))
     means = latent_mean_batch(gp, data.features)
-    if policy is None:
-        rejected = np.zeros(data.n, dtype=bool)
-    elif isinstance(policy, RejectionPolicy):
-        rejected = (-1.0 + policy.tau0 <= means) & (means <= 1.0 - policy.tau1)
-    else:
-        eps = float(policy)
-        if eps < 0:
-            raise ValueError("zero-rejection eps must be nonnegative")
-        rejected = (np.abs(means) < eps) | (means == 0.0)
+    rejected = np.zeros(data.n, dtype=bool) if policy is None else policy.mask(means)
     correct = ~rejected & (np.sign(means) == data.labels)
     return {"accuracy": float(correct.mean()), "reject_rate": float(rejected.mean())}
 
@@ -464,30 +497,21 @@ def load_gp(path) -> TrainedGP:
     labels = np.array(payload["train_labels"], dtype=float)
     alpha = np.array(payload["alpha"], dtype=float)
     jitter = float(payload["jitter"])
-    K = kernel_matrix(spec, features, features)
-    K[np.diag_indices_from(K)] += jitter
+    K = _jittered_gram(spec, features, jitter)
     if payload["mode"] == REGRESSION:
-        return TrainedGP(
-            spec=spec,
-            train_features=features,
-            train_labels=labels,
-            chol=_cholesky_lower(K),
-            alpha=alpha,
-            jitter=jitter,
-            mode=REGRESSION,
-        )
-    f = np.array(payload["latent_mode"], dtype=float)
-    pi = expit(f)
-    sw = np.sqrt(pi * (1.0 - pi))
-    B = np.eye(features.shape[0]) + sw[:, None] * K * sw[None, :]
+        f = sw = None
+        chol = _cholesky_lower(K)
+    else:
+        f = np.array(payload["latent_mode"], dtype=float)
+        _, _, sw, chol = _laplace_factor(K, f)
     return TrainedGP(
         spec=spec,
         train_features=features,
         train_labels=labels,
-        chol=_cholesky_lower(B),
+        chol=chol,
         alpha=alpha,
         jitter=jitter,
-        mode=CLASSIFICATION,
+        mode=payload["mode"],
         latent_mode=f,
         sqrt_w=sw,
     )

@@ -28,6 +28,7 @@ __all__ = [
     "kernel_matrix",
     "kernel_gradient_x",
     "kernel_gradient_x_batch",
+    "scaled_sq_distances",
     "self_similarity",
 ]
 
@@ -115,23 +116,21 @@ def _as_point(x) -> np.ndarray:
     return p
 
 
-def _check_pair(x: np.ndarray, x2: np.ndarray):
-    if x.shape != x2.shape:
-        raise ValueError(f"point dimensions differ: {x.shape[0]} vs {x2.shape[0]}")
-
-
 def kernel_eval(spec: KernelSpec, x, x2) -> float:
     """Similarity of two points under the given kernel."""
-    x = _as_point(x)
-    x2 = _as_point(x2)
-    _check_pair(x, x2)
-    if spec.family == RBF:
-        ls = spec.lengthscales(x.shape[0])
-        z = ((x - x2) / ls) ** 2
-        return float(spec.variance * np.exp(-0.5 * z.sum()))
-    if spec.family == LINEAR:
-        return float(spec.variance * x.dot(x2))
-    return float(spec.variance * (x.dot(x2) + spec.offset) ** spec.degree)
+    return float(kernel_matrix(spec, _as_point(x), _as_point(x2))[0, 0])
+
+
+def scaled_sq_distances(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances between the rows of A and B after dividing
+    each coordinate by its lengthscale.
+
+    Differences are taken pairwise before scaling, so the A-is-B case is
+    exactly symmetric.
+    """
+    diff = (A[:, None, :] - B[None, :, :]) / spec.lengthscales(A.shape[1])
+    diff **= 2  # in place: this n x m x d array is the largest temporary
+    return diff.sum(axis=-1)
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
@@ -147,9 +146,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     if spec.family == RBF:
-        ls = spec.lengthscales(A.shape[1])
-        diff = (A[:, None, :] - B[None, :, :]) / ls
-        return spec.variance * np.exp(-0.5 * (diff**2).sum(axis=-1))
+        return spec.variance * np.exp(-0.5 * scaled_sq_distances(spec, A, B))
     if spec.family == LINEAR:
         return spec.variance * (A @ B.T)
     return spec.variance * (A @ B.T + spec.offset) ** spec.degree
@@ -168,17 +165,7 @@ def self_similarity(spec: KernelSpec, X) -> np.ndarray:
 
 def kernel_gradient_x(spec: KernelSpec, x, x2) -> np.ndarray:
     """Gradient of kernel_eval(spec, x, x2) with respect to x."""
-    x = _as_point(x)
-    x2 = _as_point(x2)
-    _check_pair(x, x2)
-    if spec.family == RBF:
-        ls = spec.lengthscales(x.shape[0])
-        k = kernel_eval(spec, x, x2)
-        return k * (-(x - x2) / ls**2)
-    if spec.family == LINEAR:
-        return spec.variance * x2
-    base = x.dot(x2) + spec.offset
-    return spec.variance * spec.degree * base ** (spec.degree - 1) * x2
+    return kernel_gradient_x_batch(spec, x, _as_point(x2)[None, :])[0]
 
 
 def kernel_gradient_x_batch(spec: KernelSpec, x, X) -> np.ndarray:

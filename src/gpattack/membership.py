@@ -11,15 +11,14 @@ the kernel's own metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset
+from .data import Dataset, rows_in
 from .gp import CLASSIFICATION, TrainedGP, accuracy as gp_accuracy, predict_batch
-from .kernels import RBF, kernel_matrix
+from .kernels import RBF, kernel_matrix, scaled_sq_distances
 
 __all__ = [
     "MEAN",
@@ -35,7 +34,6 @@ __all__ = [
     "evaluate_membership",
     "overfitting_gap",
     "distribution_drift",
-    "write_membership_report",
 ]
 
 MEAN = "mean"
@@ -84,11 +82,6 @@ def _canonical_feature_set(feature_set) -> tuple[str, ...]:
     return tuple(name for name in FEATURE_ORDER if name in chosen)
 
 
-def _rows_in(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    table_keys = {row.tobytes() for row in np.ascontiguousarray(table)}
-    return np.array([row.tobytes() in table_keys for row in np.ascontiguousarray(rows)])
-
-
 def _feature_rows(gp: TrainedGP, points: np.ndarray, feature_set: tuple[str, ...]) -> np.ndarray:
     means, variances = predict_batch(gp, points)
     columns = []
@@ -118,11 +111,11 @@ def build_attack_dataset(
     must be disjoint from it; overlap between the two sets is rejected.
     """
     feature_set = _canonical_feature_set(feature_set)
-    if not np.all(_rows_in(gp.train_features, in_points.features)):
+    if not np.all(rows_in(gp.train_features, in_points.features)):
         raise ValueError("in_points must be a subset of the victim's training data")
-    if np.any(_rows_in(gp.train_features, out_points.features)):
+    if np.any(rows_in(gp.train_features, out_points.features)):
         raise ValueError("out_points must be disjoint from the victim's training data")
-    if np.any(_rows_in(in_points.features, out_points.features)):
+    if np.any(rows_in(in_points.features, out_points.features)):
         raise ValueError("in_points and out_points overlap")
 
     rng = np.random.default_rng(seed)
@@ -292,9 +285,7 @@ def overfitting_gap(gp: TrainedGP, train: Dataset, test: Dataset) -> dict:
 def _kernel_distances(gp: TrainedGP, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     spec = gp.spec
     if spec.family == RBF:
-        ls = spec.lengthscales(A.shape[1])
-        diff = (A[:, None, :] - B[None, :, :]) / ls
-        return 0.5 * (diff**2).sum(axis=-1)
+        return 0.5 * scaled_sq_distances(spec, A, B)
     K = kernel_matrix(spec, A, B)
     if np.any(K <= 0):
         raise ValueError("kernel-space distance needs strictly positive similarities")
@@ -324,26 +315,3 @@ def distribution_drift(gp: TrainedGP, train: Dataset, test: Dataset) -> dict:
         raise ValueError("degenerate training set: all pairs are equidistant")
     return {"within_std": within_std, "cross_std": cross_std, "ratio": cross_std / within_std}
 
-
-def write_membership_report(
-    path,
-    feature_set,
-    accuracy: float,
-    baseline: float,
-    overfit_gap: float,
-    drift_ratio: float,
-    lengthscale,
-    seed: int,
-):
-    payload = {
-        "feature_set": list(feature_set),
-        "accuracy": accuracy,
-        "baseline": baseline,
-        "overfit_gap": overfit_gap,
-        "drift_ratio": drift_ratio,
-        "lengthscale": lengthscale,
-        "seed": seed,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import RejectionPolicy, TrainedGP, latent_mean_batch, REJECT
-from .kernels import RBF, KernelSpec, kernel_matrix
+from .kernels import RBF, KernelSpec, kernel_matrix, scaled_sq_distances
 
 __all__ = [
     "SecureClassifier",
@@ -55,17 +55,19 @@ class SecureClassifier:
 
 def rho_ball_radius(spec: KernelSpec, rho: float) -> float:
     """Euclidean radius of {x : k(x, anchor) > rho} for a scalar-lengthscale RBF."""
-    _require_rbf(spec)
-    if not 0.0 < rho < spec.variance:
-        raise ValueError("rho must lie in (0, variance)")
+    radius = _scaled_radius(spec, rho)
     if isinstance(spec.lengthscale, tuple):
         raise ValueError("Euclidean radius is only defined for a scalar lengthscale")
-    return float(spec.lengthscale) * np.sqrt(-2.0 * np.log(rho / spec.variance))
+    return float(spec.lengthscale) * radius
 
 
-def _require_rbf(spec: KernelSpec):
+def _scaled_radius(spec: KernelSpec, rho: float) -> float:
+    """rho-ball radius in lengthscale-scaled units, sqrt(-2 ln(rho / variance))."""
     if spec.family != RBF:
         raise ValueError("the secure classifier requires an abating (RBF) kernel")
+    if not 0.0 < rho < spec.variance:
+        raise ValueError("rho must lie in (0, variance)")
+    return np.sqrt(-2.0 * np.log(rho / spec.variance))
 
 
 def build_secure_classifier(anchors, labels, rho: float, spec: KernelSpec) -> SecureClassifier:
@@ -76,14 +78,8 @@ def build_secure_classifier(anchors, labels, rho: float, spec: KernelSpec) -> Se
     two ball radii. Offending anchor sets must be thinned by the caller.
     """
     sc = SecureClassifier(np.asarray(anchors, dtype=float), np.asarray(labels, dtype=float), float(rho))
-    _require_rbf(spec)
-    if not 0.0 < sc.rho < spec.variance:
-        raise ValueError("rho must lie in (0, variance)")
-    ls = spec.lengthscales(sc.anchors.shape[1])
-    scaled = sc.anchors / ls
-    radius = np.sqrt(-2.0 * np.log(sc.rho / spec.variance))
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    radius = _scaled_radius(spec, sc.rho)
+    dist = np.sqrt(scaled_sq_distances(spec, sc.anchors, sc.anchors))
     conflicting = sc.labels[:, None] != sc.labels[None, :]
     bad = conflicting & (dist < 2.0 * radius)
     if bad.any():
@@ -101,12 +97,7 @@ def secure_classify(sc: SecureClassifier, spec: KernelSpec, x) -> int:
     The boundary is rejected (strict inequality). Ties between same-label
     anchors are harmless; different-label ties cannot occur by construction.
     """
-    x = np.asarray(x, dtype=float)
-    sims = kernel_matrix(spec, x[None, :], sc.anchors)[0]
-    best = int(np.argmax(sims))
-    if sims[best] > sc.rho:
-        return int(sc.labels[best])
-    return REJECT
+    return int(_secure_classify_batch(sc, spec, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def check_identity_assumption(anchors, spec: KernelSpec, eps: float) -> bool:
@@ -123,12 +114,6 @@ def _secure_classify_batch(sc: SecureClassifier, spec: KernelSpec, points: np.nd
     best_sim = sims[np.arange(points.shape[0]), best]
     labels = sc.labels[best].astype(int)
     return np.where(best_sim > sc.rho, labels, REJECT)
-
-
-def _gp_reject_batch(gp: TrainedGP, policy: RejectionPolicy, points: np.ndarray) -> np.ndarray:
-    means = latent_mean_batch(gp, points)
-    rejected = (-1.0 + policy.tau0 <= means) & (means <= 1.0 - policy.tau1)
-    return np.where(rejected, REJECT, np.where(means > 0, 1, -1))
 
 
 def equivalence_check(
@@ -153,7 +138,7 @@ def equivalence_check(
         raise ValueError(f"thresholds must satisfy tau0 = tau1 = 1 - rho = {expected}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     secure_out = _secure_classify_batch(sc, gp.spec, probes)
-    gp_out = _gp_reject_batch(gp, policy, probes)
+    gp_out = policy.labels(latent_mean_batch(gp, probes))
     agree = secure_out == gp_out
     return {
         "agreement_rate": float(agree.mean()),
@@ -176,5 +161,5 @@ def generalization_probe(
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     sims = kernel_matrix(spec, grid, gp.train_features)
     outside = sims.max(axis=1) <= rho
-    classified = _gp_reject_batch(gp, policy, grid) != REJECT
+    classified = ~policy.mask(latent_mean_batch(gp, grid))
     return {"outside_classified_fraction": float((outside & classified).mean())}

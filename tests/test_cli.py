@@ -95,6 +95,18 @@ class TestMain:
         gp = load_gp(out / "model_short.json")
         assert np.isfinite(predict(gp, np.array([0.5, 0.5])).mean)
 
+    def test_csv_data_flag_gets_csv_default_lengthscales(self, tmp_path):
+        rng = np.random.default_rng(0)
+        labels = np.arange(40) % 2
+        features = rng.normal(size=(40, 2)) + 3.0 * labels[:, None]
+        csv = tmp_path / "data.csv"
+        csv.write_text("a,b,y\n" + "".join(f"{a},{b},{y}\n" for (a, b), y in zip(features, labels)))
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(csv), "--out", str(out)]) == 0
+        report = json.loads((out / "accuracy.json").read_text())
+        assert report["short"]["lengthscale"] == CSV_DEFAULT_SHORT
+        assert report["long"]["lengthscale"] == CSV_DEFAULT_LONG
+
     def test_lengthscale_flags_override(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")
         out = tmp_path / "out"

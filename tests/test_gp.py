@@ -9,6 +9,7 @@ from gpattack.gp import (
     REJECT,
     FactorizationError,
     RejectionPolicy,
+    ZeroRejection,
     accuracy,
     decision_grid,
     fit_classification_laplace,
@@ -202,6 +203,8 @@ class TestRejection:
             RejectionPolicy(0.0, 0.3)
         with pytest.raises(ValueError):
             RejectionPolicy(0.3, 1.0)
+        with pytest.raises(ValueError):
+            ZeroRejection(-1e-3)
 
     def test_through_model(self):
         # single +1 anchor: latent mean at distance r is k(r)/(1 + jitter)
@@ -227,6 +230,27 @@ class TestRejection:
         wide = RejectionPolicy(tau0 * (1 - shrink0), tau1 * (1 - shrink1))
         if RejectionPolicy(tau0, tau1).rejects(mean):
             assert wide.rejects(mean)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        tau0=st.floats(min_value=0.01, max_value=0.99),
+        tau1=st.floats(min_value=0.01, max_value=0.99),
+        eps=st.floats(min_value=0.0, max_value=0.5),
+    )
+    def test_vectorised_labels_match_scalar_rules(self, data, tau0, tau1, eps):
+        edges = [-1.0 + tau0, 1.0 - tau1, 0.0, -0.0, eps, -eps]
+        drawn = data.draw(st.lists(st.sampled_from(edges) | st.floats(min_value=-2.0, max_value=2.0), max_size=20))
+        means = edges + drawn
+
+        def sign_label(m):
+            return 1 if m > 0 else -1
+
+        band = [REJECT if -1.0 + tau0 <= m <= 1.0 - tau1 else sign_label(m) for m in means]
+        zero = [REJECT if abs(m) < eps or m == 0.0 else sign_label(m) for m in means]
+        for policy, expected in ((RejectionPolicy(tau0, tau1), band), (ZeroRejection(eps), zero)):
+            assert policy.labels(np.array(means)).tolist() == expected
+            assert [policy.rejects(m) for m in means] == [label == REJECT for label in expected]
 
     def test_zero_rejection(self):
         spec = KernelSpec(RBF)
@@ -338,6 +362,7 @@ class TestAccuracy:
         result = accuracy(gp, mixed, 1e-3)
         assert result["reject_rate"] == 0.5
         assert result["accuracy"] == 0.5
+        assert accuracy(gp, mixed, ZeroRejection(1e-3)) == result
 
 
 class TestSelectVariance:

@@ -20,6 +20,25 @@ from gpattack.kernels import (
 )
 
 
+def reference_kernel(spec, x, x2):
+    """Scalar closed forms, the reference for the batch kernel code."""
+    if spec.family == RBF:
+        z = ((x - x2) / spec.lengthscales(len(x))) ** 2
+        return spec.variance * math.exp(-0.5 * z.sum())
+    if spec.family == LINEAR:
+        return spec.variance * x.dot(x2)
+    return spec.variance * (x.dot(x2) + spec.offset) ** spec.degree
+
+
+def reference_gradient(spec, x, x2):
+    """Scalar closed forms of d k(x, x2) / dx."""
+    if spec.family == RBF:
+        return reference_kernel(spec, x, x2) * (-(x - x2) / spec.lengthscales(len(x)) ** 2)
+    if spec.family == LINEAR:
+        return spec.variance * x2
+    return spec.variance * spec.degree * (x.dot(x2) + spec.offset) ** (spec.degree - 1) * x2
+
+
 def finite_difference_gradient(spec, x, x2, step=1e-5):
     grad = np.zeros_like(x)
     for j in range(len(x)):
@@ -133,8 +152,9 @@ class TestKernelMatrix:
         for family in FAMILIES:
             spec = KernelSpec(family, lengthscale=0.8, variance=1.3)
             K = kernel_matrix(spec, A, B)
-            expected = np.array([[kernel_eval(spec, a, b) for b in B] for a in A])
+            expected = np.array([[reference_kernel(spec, a, b) for b in B] for a in A])
             assert np.allclose(K, expected, atol=1e-12)
+            assert kernel_eval(spec, A[1], B[2]) == pytest.approx(expected[1, 2], abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -192,7 +212,9 @@ class TestKernelGradient:
             spec = KernelSpec(family, lengthscale=1.4, degree=2)
             batch = kernel_gradient_x_batch(spec, x, X)
             for i in range(6):
-                assert np.allclose(batch[i], kernel_gradient_x(spec, x, X[i]), atol=1e-12)
+                expected = reference_gradient(spec, x, X[i])
+                assert np.allclose(batch[i], expected, atol=1e-12)
+                assert np.allclose(kernel_gradient_x(spec, x, X[i]), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

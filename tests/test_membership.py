@@ -55,6 +55,14 @@ class TestBuildAttackDataset:
         with pytest.raises(ValueError):
             build_attack_dataset(gp, train, train, {MEAN})
 
+    def test_signed_zero_overlap_rejected(self):
+        # an out-point equal to a training row except for the sign of a zero
+        train = Dataset(np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([1.0, -1.0]))
+        gp = fit_regression(KernelSpec(RBF), train, 1e-8)
+        outside = Dataset(np.array([[-0.0, 1.0], [5.0, 5.0]]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="disjoint"):
+            build_attack_dataset(gp, train, outside, {MEAN})
+
     def test_in_points_must_be_training_points(self):
         gp, train, rest = victim_setup()
         with pytest.raises(ValueError):
