@@ -25,7 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,13 +54,14 @@ from .extraction import (
 )
 from .gp import (
     RejectionPolicy,
+    ZeroRejection,
     accuracy,
     decision_grid,
     fit_classification_laplace,
     fit_regression,
     save_gp,
 )
-from .kernels import LINEAR, POLY, RBF, KernelSpec
+from .kernels import FAMILIES, LINEAR, POLY, RBF, KernelSpec
 from .membership import (
     build_attack_dataset,
     distribution_drift,
@@ -72,8 +73,6 @@ from .membership import (
 from .secure import build_secure_classifier, equivalence_check, generalization_probe
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
-
-SUBCOMMANDS = ("train", "evade", "extract", "membership", "secure-demo")
 
 # Default lengthscale pair for CSV data, mirroring a digits-style task.
 CSV_DEFAULT_SHORT = 1.0
@@ -90,8 +89,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    dataset: dict = field(default_factory=lambda: {"generator": "two_moons", "n": 120, "noise": 0.1})
-    kernel: dict = field(default_factory=lambda: {"family": RBF, "variance": 1.0})
+    # a section also accepts its "optional" keys, which have no default here
+    dataset: dict = field(
+        default_factory=lambda: {"generator": "two_moons", "n": 120, "noise": 0.1},
+        metadata={"optional": {"d", "separation", "csv", "label_column"}},
+    )
+    kernel: dict = field(
+        default_factory=lambda: {"family": RBF, "variance": 1.0}, metadata={"optional": {"degree", "offset"}}
+    )
     lengthscale_short: float | None = None
     lengthscale_long: float | None = None
     rejection: dict = field(default_factory=lambda: {"tau0": 0.3, "tau1": 0.3})
@@ -138,6 +143,21 @@ class ExperimentConfig:
         }
     )
 
+    def __post_init__(self):
+        # each section given in part is merged over its default, once
+        for spec in fields(self):
+            if spec.default_factory is MISSING:
+                continue
+            given = getattr(self, spec.name)
+            if not isinstance(given, dict):
+                raise ConfigError(spec.name, "must be a JSON object")
+            section = spec.default_factory()
+            unknown = given.keys() - section.keys() - spec.metadata.get("optional", set())
+            if unknown:
+                raise ConfigError(spec.name, f"unknown keys {sorted(unknown)}")
+            section.update(given)
+            setattr(self, spec.name, section)
+
     def validate(self):
         src = self.dataset
         if "csv" in src:
@@ -145,60 +165,38 @@ class ExperimentConfig:
                 raise ConfigError("dataset.csv", f"file not found: {src['csv']}")
             if "label_column" not in src:
                 raise ConfigError("dataset.label_column", "required for CSV datasets")
-            if self.lengthscale_short is None:
-                self.lengthscale_short = CSV_DEFAULT_SHORT
-            if self.lengthscale_long is None:
-                self.lengthscale_long = CSV_DEFAULT_LONG
-        elif src.get("generator") not in ("two_moons", "blobs"):
-            raise ConfigError("dataset.generator", f"unknown generator {src.get('generator')!r}")
+        elif src["generator"] not in ("two_moons", "blobs"):
+            raise ConfigError("dataset.generator", f"unknown generator {src['generator']!r}")
+        short, long = (CSV_DEFAULT_SHORT, CSV_DEFAULT_LONG) if "csv" in src else (0.2, 2.0)
         if self.lengthscale_short is None:
-            self.lengthscale_short = 0.2
+            self.lengthscale_short = short
         if self.lengthscale_long is None:
-            self.lengthscale_long = 2.0
+            self.lengthscale_long = long
         if not 0 < self.lengthscale_short < self.lengthscale_long:
             raise ConfigError(
                 "lengthscale_short",
                 f"need 0 < short < long, got ({self.lengthscale_short}, {self.lengthscale_long})",
             )
-        if self.kernel.get("family", RBF) not in (RBF, LINEAR, POLY):
-            raise ConfigError("kernel.family", f"unknown family {self.kernel.get('family')!r}")
+        _check("kernel", _spec, self, self.lengthscale_short)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction", "must lie in (0, 1)")
-        if self.zero_rejection_eps < 0:
-            raise ConfigError("zero_rejection_eps", "must be nonnegative")
-        try:
-            RejectionPolicy(self.rejection.get("tau0", 0.3), self.rejection.get("tau1", 0.3))
-        except ValueError as exc:
-            raise ConfigError("rejection", str(exc)) from None
+        _check("zero_rejection_eps", ZeroRejection, self.zero_rejection_eps)
+        _check("rejection", RejectionPolicy, **self.rejection)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "kernel": self.kernel,
-            "lengthscale_short": self.lengthscale_short,
-            "lengthscale_long": self.lengthscale_long,
-            "rejection": self.rejection,
-            "zero_rejection_eps": self.zero_rejection_eps,
-            "train_fraction": self.train_fraction,
-            "seed": self.seed,
-            "out": self.out,
-            "train": self.train,
-            "attack": self.attack,
-            "extract": self.extract,
-            "membership": self.membership,
-            "secure": self.secure,
-        }
+
+def _check(field_name: str, build, *args, **kwargs):
+    """Check values by calling build(*args, **kwargs); a rejection is a ConfigError."""
+    try:
+        build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field_name, str(exc)) from None
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """The validated config: file values, then non-None `overrides`."""
-    cfg = _read_config(path, overrides)
-    cfg.validate()
-    return cfg
-
-
-def _read_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    """The validated config: file values, then each non-None override, keyed
+    by a field name, a "section.key" or a function (cfg, value). Validation,
+    which fills in dataset-dependent defaults, runs once all are applied."""
+    payload = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as handle:
@@ -207,24 +205,26 @@ def _read_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError("config", f"file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}") from None
-        for key, value in payload.items():
-            if not hasattr(cfg, key):
-                raise ConfigError(key, "unknown config key")
-            if isinstance(getattr(cfg, key), dict) and isinstance(value, dict):
-                getattr(cfg, key).update(value)
-            else:
-                setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    try:
+        cfg = ExperimentConfig(**payload)
+    except TypeError as exc:  # an unknown key, or a payload that is not an object
+        raise ConfigError("config", str(exc)) from None
+    for target, value in overrides.items():
+        if value is None:
+            continue
+        if callable(target):
+            target(cfg, value)
+        elif "." in target:
+            section, key = target.split(".")
+            getattr(cfg, section)[key] = value
+        else:
+            setattr(cfg, target, value)
+    cfg.validate()
     return cfg
 
 
 def _spec(cfg: ExperimentConfig, lengthscale: float) -> KernelSpec:
-    kernel = dict(cfg.kernel)
-    kernel.setdefault("family", RBF)
-    kernel["lengthscale"] = lengthscale
-    return KernelSpec.from_json_dict(kernel)
+    return KernelSpec(lengthscale=lengthscale, **cfg.kernel)
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -232,8 +232,8 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     if "csv" in src:
         return load_csv(src["csv"], src["label_column"])
     if src["generator"] == "two_moons":
-        return generate_two_moons(src.get("n", 120), src.get("noise", 0.1), cfg.seed)
-    return generate_blobs(src.get("n", 120), src.get("d", 2), src.get("separation", 3.0), cfg.seed)
+        return generate_two_moons(src["n"], src["noise"], cfg.seed)
+    return generate_blobs(src["n"], src.get("d", 2), src.get("separation", 3.0), cfg.seed)
 
 
 def _fit_pair(cfg: ExperimentConfig, train: Dataset):
@@ -251,7 +251,7 @@ def _write_json(path: Path, payload: dict):
 def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
     data = _build_dataset(cfg)
     train, test = split(data, cfg.train_fraction, cfg.seed)
-    policy = RejectionPolicy(cfg.rejection["tau0"], cfg.rejection["tau1"])
+    policy = RejectionPolicy(**cfg.rejection)
     short, long = _fit_pair(cfg, train)
     written = []
     report = {}
@@ -272,7 +272,7 @@ def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
             grid = decision_grid(
                 gp,
                 ((lo[0], hi[0]), (lo[1], hi[1])),
-                cfg.train.get("grid_resolution", 25),
+                cfg.train["grid_resolution"],
                 policy,
             )
             grid_path = out / f"grid_{name}.csv"
@@ -289,25 +289,25 @@ def _cmd_evade(cfg: ExperimentConfig, out: Path) -> list[Path]:
     train, test = split(data, cfg.train_fraction, cfg.seed)
     short, long = _fit_pair(cfg, train)
     atk = cfg.attack
-    count = min(int(atk.get("points", 40)), test.n)
+    count = min(int(atk["points"]), test.n)
     points = test.features[:count]
     labels = test.labels[:count]
 
     cw_config = AttackConfig(
-        epsilon=atk.get("epsilon", 0.3),
-        max_iter=int(atk.get("cw_max_iter", 100)),
-        step_size=atk.get("cw_step_size", 0.02),
-        confidence=atk.get("cw_confidence", 5.0),
+        epsilon=atk["epsilon"],
+        max_iter=int(atk["cw_max_iter"]),
+        step_size=atk["cw_step_size"],
+        confidence=atk["cw_confidence"],
     )
     sets = {
-        "gpfgs": [gpfgs(short, x, atk.get("epsilon", 0.3)) for x in points],
-        "gpjm": [gpjm(short, x, int(atk.get("jsma_budget", 2)), atk.get("jsma_step", 0.3)) for x in points],
+        "gpfgs": [gpfgs(short, x, atk["epsilon"]) for x in points],
+        "gpjm": [gpjm(short, x, int(atk["jsma_budget"]), atk["jsma_step"]) for x in points],
         "cw_l2": [cw_l2(short, x, cw_config, seed=cfg.seed) for x in points],
     }
     strengths = {
-        "gpfgs": atk.get("epsilon", 0.3),
-        "gpjm": atk.get("jsma_step", 0.3),
-        "cw_l2": atk.get("cw_confidence", 5.0),
+        "gpfgs": atk["epsilon"],
+        "gpjm": atk["jsma_step"],
+        "cw_l2": atk["cw_confidence"],
     }
     true_labels = {name: labels for name in sets}
     comparison = curvature_comparison(short, long, sets, true_labels, cfg.zero_rejection_eps)
@@ -324,25 +324,25 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
     data = _build_dataset(cfg)
     train, rest = split(data, cfg.train_fraction, cfg.seed)
     ext = cfg.extract
-    holdout_n = min(int(ext.get("holdout", 100)), rest.n // 2)
+    holdout_n = min(int(ext["holdout"]), rest.n // 2)
     holdout = rest.subset(np.arange(holdout_n))
     fresh = rest.subset(np.arange(holdout_n, rest.n))
     written = []
 
     # analytic attacks run against a noiseless regression victim
-    jitter = float(ext.get("jitter", 1e-8))
+    jitter = float(ext["jitter"])
     reg_spec = _spec(cfg, cfg.lengthscale_short)
     reg_victim = fit_regression(reg_spec, train, jitter)
     reg_oracle = ModelOracle.from_gp(reg_victim)
     lengthscale_report = extract_lengthscale_analytic(
-        reg_oracle, train, jitter, tuple(ext.get("interval", [0.05, 10.0])), variance=reg_spec.variance, seed=cfg.seed
+        reg_oracle, train, jitter, tuple(ext["interval"]), variance=reg_spec.variance, seed=cfg.seed
     )
 
-    recover_n = min(int(ext.get("recover_n", 2)), train.n)
+    recover_n = min(int(ext["recover_n"]), train.n)
     tiny = train.subset(np.arange(recover_n))
     tiny_victim = fit_regression(reg_spec, tiny, jitter)
     tiny_oracle = ModelOracle.from_gp(tiny_victim)
-    budget = int(ext.get("recover_budget_factor", 3)) * recover_n * tiny.d
+    budget = int(ext["recover_budget_factor"]) * recover_n * tiny.d
     # probes must sense the anchors: pad the data region by two lengthscales
     pad = 2.0 * float(np.max(reg_spec.lengthscales(tiny.d)))
     recovery = recover_training_data_analytic(
@@ -416,17 +416,13 @@ def _cmd_membership(cfg: ExperimentConfig, out: Path) -> list[Path]:
     data = _build_dataset(cfg)
     train, rest = split(data, cfg.train_fraction, cfg.seed)
     mem = cfg.membership
-    feature_set = mem.get("feature_set", ["latent_mean"])
+    feature_set = mem["feature_set"]
     written = []
     for name, lengthscale in (("short", cfg.lengthscale_short), ("long", cfg.lengthscale_long)):
         gp = fit_classification_laplace(_spec(cfg, lengthscale), train)
         attack_ds = build_attack_dataset(gp, train, rest, feature_set, seed=cfg.seed)
-        attack_train, attack_test = split_attack_dataset(
-            attack_ds, mem.get("attacker_fraction", 0.8), cfg.seed
-        )
-        clf = train_attack_classifier(
-            attack_train, int(mem.get("trees", 100)), int(mem.get("max_depth", 8)), cfg.seed
-        )
+        attack_train, attack_test = split_attack_dataset(attack_ds, mem["attacker_fraction"], cfg.seed)
+        clf = train_attack_classifier(attack_train, int(mem["trees"]), int(mem["max_depth"]), cfg.seed)
         result = evaluate_membership(clf, attack_test)
         gap = overfitting_gap(gp, train, rest)
         drift = distribution_drift(gp, train, rest)
@@ -451,11 +447,11 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
     sec = cfg.secure
     spec = _spec(cfg, cfg.lengthscale_long)
     ls = float(np.max(spec.lengthscales(2)))
-    n_anchors = int(sec.get("n_anchors", 4))
-    spacing = float(sec.get("spacing_lengthscales", 20.0)) * ls
+    n_anchors = int(sec["n_anchors"])
+    spacing = float(sec["spacing_lengthscales"]) * ls
     anchors = np.column_stack([np.arange(n_anchors) * spacing, np.zeros(n_anchors)])
     labels = np.where(np.arange(n_anchors) % 2 == 0, 1.0, -1.0)
-    rho = float(sec.get("rho", 0.4))
+    rho = float(sec["rho"])
     sc = build_secure_classifier(anchors, labels, rho, spec)
     gp = fit_regression(spec, Dataset(anchors, labels), jitter=1e-10)
     policy = RejectionPolicy(1.0 - rho, 1.0 - rho)
@@ -464,10 +460,10 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
     margin = 2.0 * ls
     lo = anchors.min(axis=0) - margin
     hi = anchors.max(axis=0) + margin
-    probes = rng.uniform(lo, hi, size=(int(sec.get("probes", 2000)), 2))
+    probes = rng.uniform(lo, hi, size=(int(sec["probes"]), 2))
     agreement = equivalence_check(sc, gp, policy, probes)
 
-    resolution = int(sec.get("grid_resolution", 60))
+    resolution = int(sec["grid_resolution"])
     grid_axes = [np.linspace(lo[j], hi[j], resolution) for j in range(2)]
     g0, g1 = np.meshgrid(*grid_axes, indexing="ij")
     grid = np.column_stack([g0.ravel(), g1.ravel()])
@@ -523,7 +519,7 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
     written = _HANDLERS[subcommand](cfg, out)
     manifest = {
         "subcommand": subcommand,
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "versions": {
             "gpattack": __version__,
@@ -538,62 +534,58 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _use_data(cfg: ExperimentConfig, source: str):
+    """--data: a CSV path or a generator name replaces the dataset source;
+    every other dataset key stays."""
+    if source.endswith(".csv"):
+        cfg.dataset.pop("generator", None)
+        cfg.dataset["csv"] = source
+        cfg.dataset.setdefault("label_column", "y")
+    else:
+        cfg.dataset.pop("csv", None)
+        cfg.dataset["generator"] = source
+
+
+# Every flag once: (flag, argparse options, subcommands or None for all, the
+# `load_config` override target). Flags apply in this order, so --label-column
+# overrides the column --data sets.
+_FLAGS = (
+    ("--seed", {"type": int, "help": "master seed"}, None, "seed"),
+    ("--out", {"help": "output directory"}, None, "out"),
+    ("--lengthscale-short", {"type": float}, None, "lengthscale_short"),
+    ("--lengthscale-long", {"type": float}, None, "lengthscale_long"),
+    ("--kernel", {"choices": FAMILIES, "help": "kernel family"}, None, "kernel.family"),
+    ("--data", {"help": "CSV path (use --label-column) or generator name"}, None, _use_data),
+    ("--label-column", {}, None, "dataset.label_column"),
+    ("--epsilon", {"type": float, "help": "gpfgs strength"}, ("evade",), "attack.epsilon"),
+    (
+        "--feature-set",
+        {"type": lambda names: names.split(","), "help": "comma-separated feature names"},
+        ("membership",),
+        "membership.feature_set",
+    ),
+    ("--trees", {"type": int}, ("membership",), "membership.trees"),
+    ("--rho", {"type": float}, ("secure-demo",), "secure.rho"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gpattack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--seed", type=int, help="master seed")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--lengthscale-short", type=float, dest="lengthscale_short")
-        cmd.add_argument("--lengthscale-long", type=float, dest="lengthscale_long")
-        cmd.add_argument("--kernel", choices=(RBF, LINEAR, POLY), help="kernel family")
-        cmd.add_argument("--data", help="CSV path (use --label-column) or generator name")
-        cmd.add_argument("--label-column", dest="label_column")
-        if name == "evade":
-            cmd.add_argument("--epsilon", type=float, help="gpfgs strength")
-        if name == "membership":
-            cmd.add_argument("--feature-set", dest="feature_set", help="comma-separated feature names")
-            cmd.add_argument("--trees", type=int)
-        if name == "secure-demo":
-            cmd.add_argument("--rho", type=float)
+        for flag, options, subcommands, _ in _FLAGS:
+            if subcommands is None or name in subcommands:
+                cmd.add_argument(flag, **options)
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    for key in ("seed", "out", "lengthscale_short", "lengthscale_long"):
-        overrides[key] = getattr(args, key, None)
-    return overrides
-
-
-def _apply_extra_flags(cfg: ExperimentConfig, args: argparse.Namespace):
-    if getattr(args, "kernel", None):
-        cfg.kernel["family"] = args.kernel
-    if getattr(args, "data", None):
-        if args.data.endswith(".csv"):
-            cfg.dataset = {"csv": args.data, "label_column": getattr(args, "label_column", None) or "y"}
-        else:
-            cfg.dataset = {"generator": args.data}
-    if getattr(args, "epsilon", None) is not None:
-        cfg.attack["epsilon"] = args.epsilon
-    if getattr(args, "feature_set", None):
-        cfg.membership["feature_set"] = args.feature_set.split(",")
-    if getattr(args, "trees", None) is not None:
-        cfg.membership["trees"] = args.trees
-    if getattr(args, "rho", None) is not None:
-        cfg.secure["rho"] = args.rho
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {target: getattr(args, flag[2:].replace("-", "_"), None) for flag, _, _, target in _FLAGS}
     try:
-        # validate (which fills in dataset-dependent defaults) only once every flag is applied
-        cfg = _read_config(args.config, _overrides_from_args(args))
-        _apply_extra_flags(cfg, args)
-        cfg.validate()
-        return run(args.subcommand, cfg)
+        return run(args.subcommand, load_config(args.config, overrides))
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -162,7 +162,7 @@ def _data_box(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def _draw_probe(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, avoid: np.ndarray) -> np.ndarray:
     for _ in range(1000):
         probe = rng.uniform(lo, hi)
-        if not np.any(np.all(avoid == probe, axis=1)):
+        if not rows_in(avoid, probe[None, :])[0]:
             return probe
     raise RuntimeError("could not draw a probe off the training set")
 

@@ -210,7 +210,8 @@ def _laplace_factor(K: np.ndarray, f: np.ndarray):
     pi = expit(f)
     w = pi * (1.0 - pi)
     sw = np.sqrt(w)
-    B = np.eye(len(f)) + sw[:, None] * K * sw[None, :]
+    B = sw[:, None] * K * sw[None, :]
+    B.flat[:: len(f) + 1] += 1.0
     return pi, w, sw, _cholesky_lower(B)
 
 

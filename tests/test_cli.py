@@ -32,6 +32,15 @@ def write_config(path, **overrides):
     return path
 
 
+def write_csv(path, label_column="y"):
+    rng = np.random.default_rng(0)
+    labels = np.arange(40) % 2
+    features = rng.normal(size=(40, 2)) + 3.0 * labels[:, None]
+    rows = "".join(f"{a},{b},{y}\n" for (a, b), y in zip(features, labels))
+    path.write_text(f"a,b,{label_column}\n" + rows)
+    return path
+
+
 def manifest_without_timestamp(path):
     payload = json.loads(path.read_text())
     payload.pop("timestamp")
@@ -74,6 +83,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path), {})
 
+    def test_non_object_config_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError):
+            load_config(str(path), {})
+
+    def test_partial_section_merges_over_defaults(self):
+        cfg = ExperimentConfig(attack={"points": 5})
+        assert cfg.attack == {**ExperimentConfig().attack, "points": 5}
+        assert cfg.attack["epsilon"] == 0.3
+
 
 class TestMain:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
@@ -95,12 +115,77 @@ class TestMain:
         gp = load_gp(out / "model_short.json")
         assert np.isfinite(predict(gp, np.array([0.5, 0.5])).mean)
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"attack": {"pionts": 5}},
+            {"attack": 5},
+            {"kernel": {"variance": -1}},
+            {"kernel": {"variance": "high"}},
+            {"zero_rejection_eps": -1.0},
+        ],
+        ids=["unknown-key", "not-an-object", "negative-variance", "string-variance", "negative-eps"],
+    )
+    def test_malformed_section_exits_2(self, tmp_path, capsys, section):
+        config_path = write_config(tmp_path / "config.json", **section)
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_echoes_every_config_value(self, tmp_path):
+        config_path = write_config(tmp_path / "config.json")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "dataset": {"generator": "two_moons", "n": 60, "noise": 0.2},
+            "kernel": {"family": "rbf", "variance": 1.0},
+            "lengthscale_short": 0.2,
+            "lengthscale_long": 2.0,
+            "rejection": {"tau0": 0.3, "tau1": 0.3},
+            "zero_rejection_eps": 1e-3,
+            "train_fraction": 0.5,
+            "seed": 3,
+            "out": str(out),
+            "train": {"grid_resolution": 8},
+            "attack": {
+                "points": 8,
+                "epsilon": 0.3,
+                "jsma_budget": 2,
+                "jsma_step": 0.3,
+                "cw_max_iter": 25,
+                "cw_step_size": 0.02,
+                "cw_confidence": 5.0,
+            },
+            "extract": {
+                "interval": [0.05, 10.0],
+                "jitter": 1e-8,
+                "recover_n": 2,
+                "recover_budget_factor": 3,
+                "holdout": 10,
+            },
+            "membership": {"feature_set": ["latent_mean"], "attacker_fraction": 0.8, "trees": 10, "max_depth": 4},
+            "secure": {"rho": 0.4, "n_anchors": 4, "spacing_lengthscales": 20.0, "probes": 200, "grid_resolution": 25},
+        }
+
+    def test_label_column_flag_applies_to_config_csv(self, tmp_path):
+        csv = write_csv(tmp_path / "data.csv", label_column="target")
+        config_path = write_config(tmp_path / "config.json", dataset={"csv": str(csv), "label_column": "y"})
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(config_path), "--label-column", "target", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["dataset"]["label_column"] == "target"
+
+    def test_data_flag_keeps_other_dataset_keys(self, tmp_path):
+        config_path = write_config(tmp_path / "config.json", dataset={"generator": "blobs", "n": 40, "noise": 0.3})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config_path), "--data", "two_moons", "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]["dataset"]
+        assert echo == {"generator": "two_moons", "n": 40, "noise": 0.3}
+        assert load_gp(out / "model_short.json").train_features.shape[0] == 20
+
     def test_csv_data_flag_gets_csv_default_lengthscales(self, tmp_path):
-        rng = np.random.default_rng(0)
-        labels = np.arange(40) % 2
-        features = rng.normal(size=(40, 2)) + 3.0 * labels[:, None]
-        csv = tmp_path / "data.csv"
-        csv.write_text("a,b,y\n" + "".join(f"{a},{b},{y}\n" for (a, b), y in zip(features, labels)))
+        csv = write_csv(tmp_path / "data.csv")
         out = tmp_path / "out"
         assert main(["train", "--data", str(csv), "--out", str(out)]) == 0
         report = json.loads((out / "accuracy.json").read_text())
