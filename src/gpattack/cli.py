@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -159,6 +160,14 @@ class ExperimentConfig:
             setattr(self, spec.name, section)
 
     def validate(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            default = spec.default if spec.default_factory is MISSING else spec.default_factory()
+            if isinstance(default, dict):  # "optional" keys have no default to check against
+                for key in value.keys() & default.keys():
+                    _check_type(f"{spec.name}.{key}", value[key], default[key])
+            elif default is not None:
+                _check_type(spec.name, value, default)
         src = self.dataset
         if "csv" in src:
             if not Path(src["csv"]).is_file():
@@ -172,6 +181,8 @@ class ExperimentConfig:
             self.lengthscale_short = short
         if self.lengthscale_long is None:
             self.lengthscale_long = long
+        _check_type("lengthscale_short", self.lengthscale_short, short)
+        _check_type("lengthscale_long", self.lengthscale_long, long)
         if not 0 < self.lengthscale_short < self.lengthscale_long:
             raise ConfigError(
                 "lengthscale_short",
@@ -182,6 +193,18 @@ class ExperimentConfig:
             raise ConfigError("train_fraction", "must lie in (0, 1)")
         _check("zero_rejection_eps", ZeroRejection, self.zero_rejection_eps)
         _check("rejection", RejectionPolicy, **self.rejection)
+
+
+def _check_type(field_name: str, value, default):
+    """A config value must have the type of its default: an int default
+    needs an int that is not a bool, a float default takes an int or a
+    float, and a list default's first item types every item."""
+    expected = {float: numbers.Real, int: numbers.Integral}.get(type(default), type(default))
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ConfigError(field_name, f"expected {type(default).__name__}, got {value!r}")
+    if isinstance(default, list):
+        for item in value:
+            _check_type(field_name, item, default[0])
 
 
 def _check(field_name: str, build, *args, **kwargs):

@@ -74,7 +74,11 @@ class ModelOracle:
         return cls(query_fn)
 
     def query(self, x) -> tuple[float, float]:
+        """(mean, variance) at x. A NaN or infinite point raises ValueError
+        and is not counted."""
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(f"query point is not finite: {x.tolist()}")
         with self._lock:
             self._count += 1
         mean, variance = self._query_fn(x)
@@ -185,7 +189,9 @@ def extract_lengthscale_analytic(
     log-spaced scan plus bisection on log l, run on each residual (one probe
     can have a tangent root that never changes sign; the other then supplies
     the bracket), and every candidate root must agree with both observations
-    before it counts as converged.
+    before it counts as converged. The scan and the final check read both
+    residuals from one refit per candidate; each bisection refits for its
+    own residual only.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not 0 < lo < hi:
@@ -194,35 +200,27 @@ def extract_lengthscale_analytic(
     box_lo, box_hi = _data_box(train_data)
     start_count = oracle.query_count
 
-    probe_1 = _draw_probe(rng, box_lo, box_hi, train_data.features)
-    observed_1 = oracle.query(probe_1)[0]
-    probe_2 = _draw_probe(rng, box_lo, box_hi, train_data.features)
-    observed_2 = oracle.query(probe_2)[0]
+    probes, observed = [], []
+    for _ in range(2):
+        probes.append(_draw_probe(rng, box_lo, box_hi, train_data.features))
+        observed.append(oracle.query(probes[-1])[0])
 
-    def refit_mean(length: float, probe: np.ndarray) -> float:
-        spec = KernelSpec(RBF, lengthscale=length, variance=variance)
-        return latent_mean(fit_regression(spec, train_data, jitter), probe)
-
-    def residual_1(length: float) -> float:
-        return observed_1 - refit_mean(length, probe_1)
-
-    def residual_2(length: float) -> float:
-        return observed_2 - refit_mean(length, probe_2)
+    def residuals(length: float, which=(0, 1)) -> tuple[float, ...]:
+        """The residuals of the probes in `which`, all from one refit."""
+        gp = fit_regression(KernelSpec(RBF, lengthscale=length, variance=variance), train_data, jitter)
+        return tuple(observed[k] - latent_mean(gp, probes[k]) for k in which)
 
     grid = np.geomspace(lo, hi, scan_points)
+    scan = np.array([residuals(l) for l in grid])
     candidates: list[float] = []
-    endpoint_residuals = None
-    for residual_fn in (residual_1, residual_2):
-        values = np.array([residual_fn(l) for l in grid])
-        if endpoint_residuals is None:
-            endpoint_residuals = (float(values[0]), float(values[-1]))
+    for k, values in enumerate(scan.T):
         candidates.extend(float(grid[i]) for i in np.flatnonzero(values == 0.0))
         for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
             log_lo, log_hi = np.log(grid[i]), np.log(grid[i + 1])
             r_lo = values[i]
             while (log_hi - log_lo) > 1e-13:
                 log_mid = 0.5 * (log_lo + log_hi)
-                r_mid = residual_fn(float(np.exp(log_mid)))
+                (r_mid,) = residuals(float(np.exp(log_mid)), (k,))
                 if r_mid == 0.0:
                     log_lo = log_hi = log_mid
                     break
@@ -232,11 +230,11 @@ def extract_lengthscale_analytic(
                     log_hi = log_mid
             candidates.append(float(np.exp(0.5 * (log_lo + log_hi))))
     if not candidates:
-        raise BracketingError(*endpoint_residuals)
+        raise BracketingError(float(scan[0, 0]), float(scan[-1, 0]))
 
     best: tuple[float, float, bool] | None = None
     for root in candidates:
-        worst = max(abs(residual_1(root)), abs(residual_2(root)))
+        worst = max(abs(r) for r in residuals(root))
         ok = worst < residual_tol
         if best is None or worst < best[1]:
             best = (root, worst, ok)

@@ -318,9 +318,14 @@ def fit_classification_laplace(
 
 
 def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
+    """X as a float matrix of query rows, checked against the model: a NaN
+    or infinite query raises instead of yielding a made-up mean."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != gp.d:
         raise ValueError(f"query dimension {X.shape[1]} does not match model dimension {gp.d}")
+    if not np.isfinite(X).all():
+        row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise ValueError(f"query row {row} is not finite: {X[row].tolist()}")
     return X
 
 
@@ -378,9 +383,9 @@ def predict_with_zero_rejection(gp: TrainedGP, x, eps: float = 1e-3) -> int:
 def latent_gradient(gp: TrainedGP, x) -> np.ndarray:
     """Gradient of the latent mean with respect to the query point."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != gp.d:
-        raise ValueError(f"query dimension does not match model dimension {gp.d}")
-    grads = kernel_gradient_x_batch(gp.spec, x, gp.train_features)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D query point")
+    grads = kernel_gradient_x_batch(gp.spec, _query_matrix(gp, x)[0], gp.train_features)
     return gp.alpha @ grads
 
 

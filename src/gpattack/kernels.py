@@ -126,11 +126,26 @@ def scaled_sq_distances(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.nd
     each coordinate by its lengthscale.
 
     Differences are taken pairwise before scaling, so the A-is-B case is
-    exactly symmetric.
+    exactly symmetric. The sum runs one dimension at a time, each an n x m
+    slab added in column order 0, 1, ..., d-1: this never forms the
+    n x m x d difference array, and is about ten times faster than reducing
+    one over its short last axis. For d <= 7 it is also the order numpy's
+    reduction adds in, so the result is bit-identical to
+    `(((A[:, None] - B[None]) / ls) ** 2).sum(-1)`; from d = 8 numpy sums
+    pairwise and the two differ by about one ulp.
     """
-    diff = (A[:, None, :] - B[None, :, :]) / spec.lengthscales(A.shape[1])
-    diff **= 2  # in place: this n x m x d array is the largest temporary
-    return diff.sum(axis=-1)
+    ls = spec.lengthscales(A.shape[1])
+
+    def scaled_square(j: int) -> np.ndarray:
+        c = A[:, j, None] - B[None, :, j]
+        c /= ls[j]
+        c *= c
+        return c
+
+    out = scaled_square(0)
+    for j in range(1, A.shape[1]):
+        out += scaled_square(j)
+    return out
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:

@@ -89,6 +89,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path), {})
 
+    def test_int_accepted_where_default_is_float(self):
+        cfg = ExperimentConfig(attack={"epsilon": 1}, extract={"interval": [1, 10]}, lengthscale_long=3)
+        cfg.validate()
+        assert cfg.attack["epsilon"] == 1
+
     def test_partial_section_merges_over_defaults(self):
         cfg = ExperimentConfig(attack={"points": 5})
         assert cfg.attack == {**ExperimentConfig().attack, "points": 5}
@@ -123,8 +128,30 @@ class TestMain:
             {"kernel": {"variance": -1}},
             {"kernel": {"variance": "high"}},
             {"zero_rejection_eps": -1.0},
+            {"train_fraction": "0.5"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"lengthscale_short": "0.2"},
+            {"attack": {"points": "x"}},
+            {"attack": {"cw_max_iter": 2.5}},
+            {"extract": {"interval": [0.05, "10"]}},
+            {"membership": {"feature_set": "latent_mean"}},
         ],
-        ids=["unknown-key", "not-an-object", "negative-variance", "string-variance", "negative-eps"],
+        ids=[
+            "unknown-key",
+            "not-an-object",
+            "negative-variance",
+            "string-variance",
+            "negative-eps",
+            "string-train-fraction",
+            "float-seed",
+            "bool-seed",
+            "string-lengthscale",
+            "string-points",
+            "float-cw-max-iter",
+            "string-interval-item",
+            "string-feature-set",
+        ],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, section):
         config_path = write_config(tmp_path / "config.json", **section)

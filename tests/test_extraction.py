@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from gpattack import extraction
 from gpattack.data import Dataset, generate_blobs, generate_two_moons, split
 from gpattack.extraction import (
     DATA_KNOWN_PER_DIM,
@@ -22,7 +23,7 @@ from gpattack.extraction import (
     write_kernel_distances_csv,
     write_sweep_csv,
 )
-from gpattack.gp import fit_classification_laplace, fit_regression, latent_mean
+from gpattack.gp import fit_classification_laplace, fit_regression, latent_mean, predict
 from gpattack.kernels import LINEAR, POLY, RBF, KernelSpec
 
 
@@ -37,6 +38,57 @@ def regression_victim(seed=0, n=5, d=2, lengthscale=1.3, jitter=1e-8):
     return gp, data
 
 
+def per_residual_estimate(probes, observed, data, jitter, interval, scan_points=64, residual_tol=1e-8):
+    """The analytic lengthscale recovery with a separate refit for every
+    residual evaluation: the reference for the shared-refit scan."""
+
+    def residual(k, length):
+        gp = fit_regression(KernelSpec(RBF, lengthscale=length), data, jitter)
+        return observed[k] - latent_mean(gp, probes[k])
+
+    grid = np.geomspace(interval[0], interval[1], scan_points)
+    candidates = []
+    for k in (0, 1):
+        values = np.array([residual(k, l) for l in grid])
+        candidates.extend(float(grid[i]) for i in np.flatnonzero(values == 0.0))
+        for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
+            log_lo, log_hi, r_lo = np.log(grid[i]), np.log(grid[i + 1]), values[i]
+            while (log_hi - log_lo) > 1e-13:
+                log_mid = 0.5 * (log_lo + log_hi)
+                r_mid = residual(k, float(np.exp(log_mid)))
+                if r_mid == 0.0:
+                    log_lo = log_hi = log_mid
+                    break
+                if np.sign(r_mid) == np.sign(r_lo):
+                    log_lo, r_lo = log_mid, r_mid
+                else:
+                    log_hi = log_mid
+            candidates.append(float(np.exp(0.5 * (log_lo + log_hi))))
+    best = None
+    for root in candidates:
+        worst = max(abs(residual(0, root)), abs(residual(1, root)))
+        if best is None or worst < best[1]:
+            best = (root, worst)
+        if worst < residual_tol:
+            break
+    return best
+
+
+class RecordingOracle(ModelOracle):
+    """A victim's oracle that keeps every point it answered and the mean it gave."""
+
+    def __init__(self, gp):
+        self.asked, self.means = [], []
+
+        def answer(x):
+            p = predict(gp, x)
+            self.asked.append(x)
+            self.means.append(p.mean)
+            return p.mean, p.variance
+
+        super().__init__(answer)
+
+
 class TestModelOracle:
     def test_counts_one_per_query(self):
         gp, _ = regression_victim()
@@ -47,6 +99,17 @@ class TestModelOracle:
         assert np.isfinite(mean) and variance >= 0
         oracle.query(np.ones(2))
         assert oracle.query_count == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_rejected_and_not_counted(self, bad):
+        gp, _ = regression_victim()
+        oracle = RecordingOracle(gp)
+        oracle.query(np.zeros(2))
+        for point in (np.array([bad, 0.0]), np.array([0.0, bad])):
+            with pytest.raises(ValueError, match="not finite"):
+                oracle.query(point)
+        assert oracle.query_count == 1
+        assert len(oracle.asked) == 1
 
     def test_concurrent_counting(self):
         oracle = ModelOracle(lambda x: (0.0, 1.0))
@@ -114,6 +177,41 @@ class TestLengthscaleExtraction:
             extract_lengthscale_analytic(oracle, data, 1e-8, (5.0, 10.0), seed=0)
         assert np.isfinite(err.value.residual_lo)
         assert np.isfinite(err.value.residual_hi)
+
+    def test_scan_refits_once_per_grid_point(self, monkeypatch):
+        refit_lengths = []
+        real_fit = extraction.fit_regression
+
+        def counting_fit(spec, data, jitter=None):
+            refit_lengths.append(spec.lengthscale)
+            return real_fit(spec, data, jitter)
+
+        monkeypatch.setattr(extraction, "fit_regression", counting_fit)
+        gp, data = regression_victim(lengthscale=1.3)
+        # no root in the interval: the scan is all the work done
+        with pytest.raises(BracketingError):
+            extract_lengthscale_analytic(ModelOracle.from_gp(gp), data, 1e-8, (5.0, 10.0), scan_points=40)
+        assert refit_lengths == list(np.geomspace(5.0, 10.0, 40))
+
+        refit_lengths.clear()
+        report = extract_lengthscale_analytic(ModelOracle.from_gp(gp), data, 1e-8, (0.1, 10.0), scan_points=64)
+        grid = list(np.geomspace(0.1, 10.0, 64))
+        assert refit_lengths[:64] == grid
+        assert sum(length in grid for length in refit_lengths) == 64
+        assert report.converged
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_residual_refits(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        true_l = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
+        n, d = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+        gp, data = regression_victim(seed=seed, n=n, d=d, lengthscale=true_l)
+        oracle = RecordingOracle(gp)
+        report = extract_lengthscale_analytic(oracle, data, 1e-8, (0.1, 10.0), seed=seed)
+        assert report.queries_used == 2
+        estimate, residual = per_residual_estimate(oracle.asked, oracle.means, data, 1e-8, (0.1, 10.0))
+        assert report.estimate == estimate
+        assert report.residual == residual
 
     def test_bad_interval(self):
         gp, data = regression_victim()

@@ -16,8 +16,10 @@ from gpattack.gp import (
     fit_regression,
     latent_gradient,
     latent_mean,
+    latent_mean_batch,
     load_gp,
     predict,
+    predict_batch,
     predict_with_rejection,
     predict_with_zero_rejection,
     save_gp,
@@ -187,6 +189,38 @@ class TestPredict:
         gp = fit_regression(KernelSpec(RBF), Dataset(np.array([[0.0, 1.0]]), np.array([1.0])), 1e-8)
         with pytest.raises(ValueError):
             predict(gp, np.array([1.0]))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteQueries:
+    @pytest.fixture
+    def gp(self):
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+        return fit_classification_laplace(KernelSpec(RBF, lengthscale=0.5), ds)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_single_point_entry_points_raise(self, gp, bad, column):
+        x = np.zeros(2)
+        x[column] = bad
+        for entry_point in (latent_mean, latent_gradient, predict):
+            with pytest.raises(ValueError, match="not finite"):
+                entry_point(gp, x)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_batch_entry_points_name_the_row(self, gp, bad):
+        X = np.zeros((3, 2))
+        X[2, 1] = bad
+        for entry_point in (latent_mean_batch, predict_batch):
+            with pytest.raises(ValueError, match="query row 2 is not finite"):
+                entry_point(gp, X)
+
+    def test_finite_extremes_still_answer(self, gp):
+        # a finite query far from every training point gets the prior mean 0
+        assert latent_mean_batch(gp, np.array([[1e6, 0.0]]))[0] == 0.0
+        assert np.all(latent_gradient(gp, np.array([1e6, 0.0])) == 0.0)
 
 
 class TestRejection:

@@ -16,6 +16,7 @@ from gpattack.kernels import (
     kernel_gradient_x,
     kernel_gradient_x_batch,
     kernel_matrix,
+    scaled_sq_distances,
     self_similarity,
 )
 
@@ -175,6 +176,49 @@ class TestKernelMatrix:
         for family in FAMILIES:
             spec = KernelSpec(family, variance=1.7, degree=3)
             assert np.allclose(self_similarity(spec, X), np.diag(kernel_matrix(spec, X, X)))
+
+
+def reference_sq_distances(A, B, ls):
+    """The broadcast n x m x d form, the reference for the per-dimension loop."""
+    return (((A[:, None] - B[None]) / ls) ** 2).sum(-1)
+
+
+class TestScaledSqDistances:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=1, max_value=12),
+        m=st.integers(min_value=1, max_value=12),
+        d=st.integers(min_value=1, max_value=12),
+        per_dimension=st.booleans(),
+    )
+    def test_matches_broadcast_form(self, seed, n, m, d, per_dimension):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1e3, 1e3, size=(n, d))
+        B = rng.uniform(-1e3, 1e3, size=(m, d))
+        lengthscale = tuple(rng.uniform(1e-2, 1e2, d)) if per_dimension else float(rng.uniform(1e-2, 1e2))
+        spec = KernelSpec(RBF, lengthscale=lengthscale)
+        got = scaled_sq_distances(spec, A, B)
+        expected = reference_sq_distances(A, B, spec.lengthscales(d))
+        if d <= 7:  # numpy's reduction adds in column order too
+            assert np.array_equal(got, expected)
+        else:  # numpy's reduction sums pairwise
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=1, max_value=12),
+        d=st.integers(min_value=1, max_value=12),
+        per_dimension=st.booleans(),
+    )
+    def test_exactly_symmetric_when_a_is_b(self, seed, n, d, per_dimension):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, d)) * rng.uniform(0.1, 100)
+        lengthscale = tuple(rng.uniform(0.05, 5.0, d)) if per_dimension else float(rng.uniform(0.05, 5.0))
+        D = scaled_sq_distances(KernelSpec(RBF, lengthscale=lengthscale), A, A)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
 
 
 class TestKernelGradient:
