@@ -90,13 +90,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    # a section also accepts its "optional" keys, which have no default here
+    # a section also accepts its "optional" keys, which have a type but no default
     dataset: dict = field(
         default_factory=lambda: {"generator": "two_moons", "n": 120, "noise": 0.1},
-        metadata={"optional": {"d", "separation", "csv", "label_column"}},
+        metadata={"optional": {"d": int, "separation": float, "csv": str, "label_column": str}},
     )
     kernel: dict = field(
-        default_factory=lambda: {"family": RBF, "variance": 1.0}, metadata={"optional": {"degree", "offset"}}
+        default_factory=lambda: {"family": RBF, "variance": 1.0},
+        metadata={"optional": {"degree": int, "offset": float}},
     )
     lengthscale_short: float | None = None
     lengthscale_long: float | None = None
@@ -153,7 +154,7 @@ class ExperimentConfig:
             if not isinstance(given, dict):
                 raise ConfigError(spec.name, "must be a JSON object")
             section = spec.default_factory()
-            unknown = given.keys() - section.keys() - spec.metadata.get("optional", set())
+            unknown = given.keys() - section.keys() - spec.metadata.get("optional", {}).keys()
             if unknown:
                 raise ConfigError(spec.name, f"unknown keys {sorted(unknown)}")
             section.update(given)
@@ -163,11 +164,17 @@ class ExperimentConfig:
         for spec in fields(self):
             value = getattr(self, spec.name)
             default = spec.default if spec.default_factory is MISSING else spec.default_factory()
-            if isinstance(default, dict):  # "optional" keys have no default to check against
-                for key in value.keys() & default.keys():
-                    _check_type(f"{spec.name}.{key}", value[key], default[key])
+            if isinstance(default, dict):  # an optional key is checked against a value of its type
+                typed = {key: kind() for key, kind in spec.metadata.get("optional", {}).items()} | default
+                for key in value:
+                    _check_type(f"{spec.name}.{key}", value[key], typed[key])
+                    if isinstance(typed[key], int) and value[key] < 1:  # every int in a section is a count
+                        raise ConfigError(f"{spec.name}.{key}", f"must be at least 1, got {value[key]}")
             elif default is not None:
                 _check_type(spec.name, value, default)
+        interval = self.extract["interval"]
+        if len(interval) != 2 or not 0 < interval[0] < interval[1]:
+            raise ConfigError("extract.interval", f"need two numbers 0 < lo < hi, got {interval}")
         src = self.dataset
         if "csv" in src:
             if not Path(src["csv"]).is_file():
@@ -317,7 +324,6 @@ def _cmd_evade(cfg: ExperimentConfig, out: Path) -> list[Path]:
     labels = test.labels[:count]
 
     cw_config = AttackConfig(
-        epsilon=atk["epsilon"],
         max_iter=int(atk["cw_max_iter"]),
         step_size=atk["cw_step_size"],
         confidence=atk["cw_confidence"],

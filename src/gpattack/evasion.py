@@ -46,15 +46,12 @@ class AttackConfig:
     means "derive from the victim's training data".
     """
 
-    epsilon: float = 0.0
     max_iter: int = 100
     step_size: float = 0.01
     confidence: float = 1.0
     box: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.step_size > 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import least_squares, linear_sum_assignment
 
 from .data import Dataset, rows_in
 from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
@@ -159,16 +159,17 @@ def query_complexity(regime: str, n: int, d: int) -> ComplexityEstimate:
     return ComplexityEstimate(n * 2 * d + 1, True, regime)
 
 
-def _data_box(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    return data.features.min(axis=0), data.features.max(axis=0)
-
-
 def _draw_probe(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, avoid: np.ndarray) -> np.ndarray:
     for _ in range(1000):
         probe = rng.uniform(lo, hi)
         if not rows_in(avoid, probe[None, :])[0]:
             return probe
     raise RuntimeError("could not draw a probe off the training set")
+
+
+def _observed_means(oracle: ModelOracle, points: np.ndarray) -> np.ndarray:
+    """The oracle's mean at each row of `points`, one query per row."""
+    return np.array([oracle.query(p)[0] for p in points])
 
 
 def extract_lengthscale_analytic(
@@ -197,7 +198,7 @@ def extract_lengthscale_analytic(
     if not 0 < lo < hi:
         raise ValueError("search interval must satisfy 0 < lo < hi")
     rng = np.random.default_rng(seed)
-    box_lo, box_hi = _data_box(train_data)
+    box_lo, box_hi = train_data.features.min(axis=0), train_data.features.max(axis=0)
     start_count = oracle.query_count
 
     probes, observed = [], []
@@ -267,11 +268,14 @@ def recover_training_data_analytic(
     known kernel spec (lengthscale included) and known labels.
 
     Poses sum_q (observed_mean(x_q) - refit_mean(X_hat, x_q))^2 over
-    `query_budget` >= n*d+1 probes and minimizes it with a damped
-    Gauss-Newton (Levenberg-Marquardt) loop using a finite-difference
-    Jacobian, restarting from fresh seeded initializations if needed.
-    `probe_box` is the attacker's prior on where the data lives, a (lo, hi)
-    pair of scalars or per-dimension vectors. Recovered anchors are
+    `query_budget` >= n*d+1 probes and minimizes it with scipy's
+    `least_squares` (trust-region reflective, finite-difference Jacobian
+    with relative step 1e-6, at most `max_iter` residual evaluations), from
+    a matched-probe start and then seeded random restarts, until the
+    residual norm is below `success_tol`. `cost_history` holds the best
+    start's squared residual norm at its start and after each accepted
+    step. `probe_box` is the attacker's prior on where the data lives, a
+    (lo, hi) pair of scalars or per-dimension vectors. Recovered anchors are
     permutation-ambiguous within a label class; use `match_points` to align
     them with a reference.
     """
@@ -289,15 +293,12 @@ def recover_training_data_analytic(
     start_count = oracle.query_count
 
     probes = rng.uniform(lo, hi, size=(query_budget, d))
-    targets = np.array([oracle.query(p)[0] for p in probes])
+    targets = _observed_means(oracle, probes)
 
     def residual_vector(flat: np.ndarray) -> np.ndarray:
         candidate = Dataset(flat.reshape(n, d), labels)
         gp = fit_regression(spec, candidate, jitter)
         return latent_mean_batch(gp, probes) - targets
-
-    def cost(r: np.ndarray) -> float:
-        return float(r @ r)
 
     def matched_probe_init() -> np.ndarray:
         # seed each candidate anchor at the unclaimed probe responding most
@@ -313,47 +314,35 @@ def recover_training_data_analytic(
                     break
         return init.ravel()
 
-    n_params = n * d
     best_flat: np.ndarray | None = None
     best_cost = np.inf
     history: list[float] = []
     for restart in range(max(restarts, 1)):
         flat = matched_probe_init() if restart == 0 else rng.uniform(lo, hi, size=(n, d)).ravel()
         r = residual_vector(flat)
-        c = cost(r)
-        run_history = [c]
-        lam = 1e-3
-        for _ in range(max_iter):
-            jac = np.empty((len(r), n_params))
-            for p in range(n_params):
-                h = 1e-6 * max(1.0, abs(flat[p]))
-                bumped = flat.copy()
-                bumped[p] += h
-                jac[:, p] = (residual_vector(bumped) - r) / h
-            jtj = jac.T @ jac
-            jtr = jac.T @ r
-            accepted = False
-            for _ in range(25):
-                damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
-                try:
-                    delta = np.linalg.solve(damped, -jtr)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                trial = flat + delta
-                r_trial = residual_vector(trial)
-                c_trial = cost(r_trial)
-                if np.isfinite(c_trial) and c_trial < c:
-                    flat, r, c = trial, r_trial, c_trial
-                    run_history.append(c)
-                    lam = max(lam / 3.0, 1e-12)
-                    accepted = True
-                    break
-                lam *= 10.0
-            if not accepted or c < success_tol**2 or float(np.max(np.abs(delta))) < 1e-12:
-                break
+        run_history = [float(r @ r)]
+
+        def record(intermediate_result):
+            c = 2.0 * float(intermediate_result.cost)  # scipy's cost is half the squared norm
+            if c < run_history[-1]:  # an iteration whose step was rejected repeats the cost
+                run_history.append(c)
+            if c < success_tol**2:
+                raise StopIteration
+
+        solution = least_squares(
+            residual_vector,
+            flat,
+            method="trf",
+            diff_step=1e-6,
+            ftol=1e-15,
+            xtol=1e-15,
+            gtol=1e-15,
+            max_nfev=max_iter,
+            callback=record,
+        )
+        c = float(solution.fun @ solution.fun)
         if c < best_cost:
-            best_cost, best_flat, history = c, flat, run_history
+            best_cost, best_flat, history = c, solution.x, run_history
         if best_cost < success_tol**2:
             break
 
@@ -392,6 +381,19 @@ def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     return aligned, distances
 
 
+def _output_distances(
+    oracle: ModelOracle, specs: Sequence[KernelSpec], train_data: Dataset, holdout: Dataset
+) -> list[float]:
+    """Query the oracle on the holdout, then fit one GPC per spec on
+    `train_data`; each spec's mean absolute latent-mean distance to it."""
+    targets = _observed_means(oracle, holdout.features)
+    distances = []
+    for spec in specs:
+        gp = fit_classification_laplace(spec, train_data)
+        distances.append(float(np.mean(np.abs(latent_mean_batch(gp, holdout.features) - targets))))
+    return distances
+
+
 SWEEP_REGIMES = ("same", "mixed", "disjoint")
 SWEEP_MODELS = 50
 
@@ -421,14 +423,9 @@ def estimate_lengthscale_sweep(
         raise ValueError("holdout must be disjoint from the attacker's training data")
 
     start_count = oracle.query_count
-    targets = np.array([oracle.query(p)[0] for p in holdout.features])
-    lengths = true_l_hint / 2.0 + np.arange(SWEEP_MODELS) * (true_l_hint / SWEEP_MODELS)
-    curve = []
-    for length in lengths:
-        spec = KernelSpec(RBF, lengthscale=float(length), variance=variance)
-        gp = fit_classification_laplace(spec, attacker_data)
-        distance = float(np.mean(np.abs(latent_mean_batch(gp, holdout.features) - targets)))
-        curve.append((float(length), distance))
+    lengths = [float(l) for l in true_l_hint / 2.0 + np.arange(SWEEP_MODELS) * (true_l_hint / SWEEP_MODELS)]
+    specs = [KernelSpec(RBF, lengthscale=length, variance=variance) for length in lengths]
+    curve = list(zip(lengths, _output_distances(oracle, specs, attacker_data, holdout)))
     argmin = curve[int(np.argmin([c[1] for c in curve]))][0]
     return {
         "regime": regime,
@@ -450,14 +447,7 @@ def identify_kernel(
         raise ValueError("need at least one candidate kernel")
     if holdout.n < 1:
         raise ValueError("holdout must be nonempty")
-    targets = np.array([oracle.query(p)[0] for p in holdout.features])
-    ranked = []
-    for spec in candidates:
-        gp = fit_classification_laplace(spec, train_data)
-        distance = float(np.mean(np.abs(latent_mean_batch(gp, holdout.features) - targets)))
-        ranked.append((spec, distance))
-    ranked.sort(key=lambda pair: pair[1])
-    return ranked
+    return sorted(zip(candidates, _output_distances(oracle, candidates, train_data, holdout)), key=lambda pair: pair[1])
 
 
 def write_sweep_csv(path, sweep: dict):

@@ -136,6 +136,15 @@ class TestMain:
             {"attack": {"cw_max_iter": 2.5}},
             {"extract": {"interval": [0.05, "10"]}},
             {"membership": {"feature_set": "latent_mean"}},
+            {"attack": {"points": -5}},
+            {"membership": {"trees": 0}},
+            {"secure": {"n_anchors": 0}},
+            {"extract": {"holdout": -3}},
+            {"extract": {"interval": [0.05]}},
+            {"extract": {"interval": [10.0, 0.05]}},
+            {"dataset": {"generator": "blobs", "d": "3"}},
+            {"dataset": {"generator": "blobs", "separation": "far"}},
+            {"dataset": {"csv": 5, "label_column": "y"}},
         ],
         ids=[
             "unknown-key",
@@ -151,6 +160,15 @@ class TestMain:
             "float-cw-max-iter",
             "string-interval-item",
             "string-feature-set",
+            "negative-points",
+            "zero-trees",
+            "zero-anchors",
+            "negative-holdout",
+            "one-number-interval",
+            "reversed-interval",
+            "string-blob-dimension",
+            "string-separation",
+            "int-csv-path",
         ],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, section):
@@ -159,6 +177,16 @@ class TestMain:
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_extract_recovers_training_data(self, tmp_path):
+        # at this seed the training-data recovery used to stall far from the anchors
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 2}))
+        out = tmp_path / "out"
+        assert main(["extract", "--config", str(config_path), "--out", str(out)]) == 0
+        recovery = json.loads((out / "extraction.json").read_text())["training_data_recovery"]
+        assert recovery["converged"]
+        assert max(recovery["point_distances"]) < 1e-6
 
     def test_manifest_echoes_every_config_value(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")
