@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import Dataset, generate_blobs, generate_two_moons, load_csv, split
+from .data import Dataset, generate_blobs, generate_two_moons, load_csv, split, write_json
 from .evasion import (
     AttackConfig,
     curvature_comparison,
@@ -60,6 +60,7 @@ from .gp import (
     decision_grid,
     fit_classification_laplace,
     fit_regression,
+    grid_points,
     save_gp,
 )
 from .kernels import FAMILIES, LINEAR, POLY, RBF, KernelSpec
@@ -175,6 +176,10 @@ class ExperimentConfig:
         interval = self.extract["interval"]
         if len(interval) != 2 or not 0 < interval[0] < interval[1]:
             raise ConfigError("extract.interval", f"need two numbers 0 < lo < hi, got {interval}")
+        # f*n*d probes meet the n*d+1 recovery bound for every n and d exactly when f >= 2
+        factor = self.extract["recover_budget_factor"]
+        if factor < 2:
+            raise ConfigError("extract.recover_budget_factor", f"must be at least 2, got {factor}")
         src = self.dataset
         if "csv" in src:
             if not Path(src["csv"]).is_file():
@@ -272,12 +277,6 @@ def _fit_pair(cfg: ExperimentConfig, train: Dataset):
     return short, long
 
 
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-
-
 def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
     data = _build_dataset(cfg)
     train, test = split(data, cfg.train_fraction, cfg.seed)
@@ -309,7 +308,7 @@ def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
             grid.write_csv(grid_path)
             written.append(grid_path)
     path = out / "accuracy.json"
-    _write_json(path, report)
+    write_json(path, report)
     written.append(path)
     return written
 
@@ -345,7 +344,7 @@ def _cmd_evade(cfg: ExperimentConfig, out: Path) -> list[Path]:
     csv_path = out / "attack_sets.csv"
     write_attack_sets_csv(csv_path, sets, strengths)
     json_path = out / "curvature.json"
-    _write_json(json_path, {"comparison": comparison, "flip_rates_on_short": flip_rates})
+    write_json(json_path, {"comparison": comparison, "flip_rates_on_short": flip_rates})
     return [csv_path, json_path]
 
 
@@ -388,7 +387,7 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
     )
     matched, distances = match_points(recovery.estimate, tiny.features, tiny.labels)
     analytic_path = out / "extraction.json"
-    _write_json(
+    write_json(
         analytic_path,
         {
             "lengthscale": {
@@ -456,7 +455,7 @@ def _cmd_membership(cfg: ExperimentConfig, out: Path) -> list[Path]:
         gap = overfitting_gap(gp, train, rest)
         drift = distribution_drift(gp, train, rest)
         path = out / f"membership_{name}.json"
-        _write_json(
+        write_json(
             path,
             {
                 "feature_set": sorted(feature_set),
@@ -493,9 +492,7 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
     agreement = equivalence_check(sc, gp, policy, probes)
 
     resolution = int(sec["grid_resolution"])
-    grid_axes = [np.linspace(lo[j], hi[j], resolution) for j in range(2)]
-    g0, g1 = np.meshgrid(*grid_axes, indexing="ij")
-    grid = np.column_stack([g0.ravel(), g1.ravel()])
+    grid = grid_points(lo, hi, resolution)
     probe_identity = generalization_probe(gp, spec, rho, grid, policy)
 
     # the learning case: same-class anchors one lengthscale apart; the
@@ -503,13 +500,11 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
     close = np.array([[0.0, 0.0], [ls, 0.0]])
     close_labels = np.array([1.0, 1.0])
     close_gp = fit_regression(spec, Dataset(close, close_labels), jitter=1e-10)
-    span = np.linspace(-3.0 * ls, 4.0 * ls, max(resolution, 80))
-    c0, c1 = np.meshgrid(span, span, indexing="ij")
-    close_grid = np.column_stack([c0.ravel(), c1.ravel()])
+    close_grid = grid_points((-3.0 * ls, -3.0 * ls), (4.0 * ls, 4.0 * ls), max(resolution, 80))
     probe_learning = generalization_probe(close_gp, spec, rho, close_grid, policy)
 
     path = out / "secure.json"
-    _write_json(
+    write_json(
         path,
         {
             "rho": rho,
@@ -559,7 +554,7 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
         "artifacts": {path.name: _sha256(path) for path in written},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     return 0
 
 

@@ -1,4 +1,7 @@
-"""Synthetic dataset generation, CSV ingestion, normalization and splitting.
+"""Synthetic dataset generation, CSV ingestion, normalization and splitting,
+plus the two rules every module shares: how a record freezes its arrays
+(`frozen_array`) and how a report file is written (`write_lines`,
+`write_json`).
 
 Every generator is a pure function of its arguments: the same seed always
 produces the same dataset, bit for bit. Labels are canonicalized to {-1, +1}
@@ -9,6 +12,7 @@ label convention holds throughout the package.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,9 @@ __all__ = [
     "split",
     "normalize",
     "rows_in",
+    "frozen_array",
+    "write_lines",
+    "write_json",
 ]
 
 
@@ -45,9 +52,24 @@ class UnmappableLabelError(CsvFormatError):
     """A label value is not one of -1, 0, +1."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def frozen_array(value, dtype=float) -> np.ndarray:
+    """A read-only C-contiguous `dtype` copy of `value`: no array the caller
+    holds, nor one that `value` views, can change it."""
+    array = np.array(value, dtype=dtype, order="C")
+    array.flags.writeable = False
+    return array
+
+
+def write_lines(path, lines):
+    """Write each string of `lines`, newline-terminated, to a UTF-8 file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in lines:
+            handle.write(line + "\n")
+
+
+def write_json(path, payload):
+    """Write `payload` as JSON with sorted keys and one-space indents."""
+    write_lines(path, [json.dumps(payload, sort_keys=True, indent=1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +81,8 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=float)
-        labels = np.ascontiguousarray(self.labels, dtype=float)
+        features = frozen_array(self.features)
+        labels = frozen_array(self.labels)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if features.shape[0] < 1 or features.shape[1] < 1:
@@ -74,8 +96,8 @@ class Dataset:
             if len(names) != features.shape[1]:
                 raise ValueError("feature_names length must match the column count")
             object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "features", _readonly(features))
-        object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -87,7 +109,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.feature_names)
+        return Dataset(self.features[idx], self.labels[idx], self.feature_names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +120,14 @@ class NormStats:
     scale: np.ndarray
 
     def __post_init__(self):
-        shift = np.ascontiguousarray(self.shift, dtype=float)
-        scale = np.ascontiguousarray(self.scale, dtype=float)
+        shift = frozen_array(self.shift)
+        scale = frozen_array(self.scale)
         if shift.shape != scale.shape or shift.ndim != 1:
             raise ValueError("shift and scale must be vectors of equal length")
         if not np.all(scale > 0):
             raise ValueError("scale entries must be strictly positive")
-        object.__setattr__(self, "shift", _readonly(shift))
-        object.__setattr__(self, "scale", _readonly(scale))
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "scale", scale)
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self.shift) / self.scale

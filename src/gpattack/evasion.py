@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import frozen_array, write_lines
 from .gp import NumericalError, TrainedGP, ZeroRejection, latent_gradient, latent_mean, latent_mean_batch
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 L0_TOLERANCE = 1e-12
+CW_RESTARTS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +84,10 @@ def _make_result(original: np.ndarray, adversarial: np.ndarray, success: bool, i
         "l2": float(np.linalg.norm(delta)),
         "linf": float(np.max(np.abs(delta))) if delta.size else 0.0,
     }
-    for a in (original, adversarial, delta):
-        a.flags.writeable = False
     return AdversarialResult(
-        original=original,
-        adversarial=adversarial,
-        delta=delta,
+        original=frozen_array(original),
+        adversarial=frozen_array(adversarial),
+        delta=frozen_array(delta),
         norms=norms,
         success=bool(success),
         iterations_used=int(iterations),
@@ -128,7 +128,7 @@ def gpfgs(gp: TrainedGP, x, epsilon: float, box=None) -> AdversarialResult:
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    x = np.asarray(x, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
     lo, hi = _resolve_box(gp, box)
     label = _sign_label(latent_mean(gp, x))
     grad = latent_gradient(gp, x)
@@ -149,7 +149,7 @@ def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialRes
         raise ValueError("budget must be at least 1")
     if not step > 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
     lo, hi = _resolve_box(gp, box)
     label = _sign_label(latent_mean(gp, x))
     current = x.copy()
@@ -172,31 +172,23 @@ def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialRes
     return _make_result(x, current, success, iterations)
 
 
-def cw_l2(
-    gp: TrainedGP,
-    x,
-    config: AttackConfig,
-    margin: float = 0.0,
-    seed: int = 0,
-    restarts: int = 3,
-) -> AdversarialResult:
+def cw_l2(gp: TrainedGP, x, config: AttackConfig, seed: int = 0) -> AdversarialResult:
     """L2-minimizing attack in the tanh reparameterization.
 
     Candidates are box_min + (box_max - box_min) * (tanh(w) + 1) / 2, so the
     box constraint holds by construction. Plain gradient descent minimizes
 
-        ||candidate - x||_2^2 + confidence * max(label * latent_mean, -margin)
+        ||candidate - x||_2^2 + confidence * max(label * latent_mean, 0)
 
-    from the original point plus `restarts - 1` jittered initializations.
-    Returns the successful candidate closest to x in L2, or the lowest
-    objective seen with success=False.
+    (a zero margin: the misclassification term vanishes once the sign
+    flips) for `config.max_iter` steps from the original point and from two
+    initializations jittered with `seed`. Returns the successful candidate
+    closest to x in L2, or the lowest objective seen with success=False.
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
     lo, hi = _resolve_box(gp, config.box)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("cw_l2 requires finite box bounds for every feature")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
     half_range = (hi - lo) / 2.0
     mid = (hi + lo) / 2.0
     label = _sign_label(latent_mean(gp, x))
@@ -215,7 +207,7 @@ def cw_l2(
         nonlocal best_success, best_any
         m = latent_mean(gp, candidate)
         dist_sq = float(((candidate - x) ** 2).sum())
-        objective = dist_sq + weight * max(label * m, -margin)
+        objective = dist_sq + weight * max(label * m, 0)
         if not np.isfinite(objective):
             raise NumericalError(iterations, "non-finite attack objective")
         if label != 0 and _sign_label(m) == -label:
@@ -225,13 +217,13 @@ def cw_l2(
             best_any = (objective, candidate.copy())
         return m
 
-    for restart in range(max(restarts, 1)):
+    for restart in range(CW_RESTARTS):
         w = w0 if restart == 0 else w0 + rng.normal(0.0, 0.1, size=w0.shape)
         for _ in range(config.max_iter):
             candidate = mid + half_range * np.tanh(w)
             m = consider(candidate)
             grad = 2.0 * (candidate - x)
-            if label != 0 and label * m > -margin:
+            if label != 0 and label * m > 0:
                 grad = grad + weight * label * latent_gradient(gp, candidate)
             w = w - config.step_size * grad * half_range * (1.0 - np.tanh(w) ** 2)
             iterations += 1
@@ -303,13 +295,13 @@ def write_attack_sets_csv(path, sets: Mapping[str, Sequence[AdversarialResult]],
     d = dims.pop()
     orig_cols = ",".join(f"orig_{j}" for j in range(d))
     adv_cols = ",".join(f"adv_{j}" for j in range(d))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"attack,epsilon,success,l0,l2,linf,{orig_cols},{adv_cols}\n")
-        for name, results in sets.items():
-            eps = strengths.get(name, "")
-            for r in results:
-                coords = ",".join(repr(float(v)) for v in r.original)
-                adv = ",".join(repr(float(v)) for v in r.adversarial)
-                handle.write(
-                    f"{name},{eps!r},{int(r.success)},{r.norms['l0']},{r.norms['l2']!r},{r.norms['linf']!r},{coords},{adv}\n"
-                )
+    lines = [f"attack,epsilon,success,l0,l2,linf,{orig_cols},{adv_cols}"]
+    for name, results in sets.items():
+        eps = strengths.get(name, "")
+        for r in results:
+            coords = ",".join(repr(float(v)) for v in r.original)
+            adv = ",".join(repr(float(v)) for v in r.adversarial)
+            lines.append(
+                f"{name},{eps!r},{int(r.success)},{r.norms['l0']},{r.norms['l2']!r},{r.norms['linf']!r},{coords},{adv}"
+            )
+    write_lines(path, lines)

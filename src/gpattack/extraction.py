@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
-from .data import Dataset, rows_in
+from .data import Dataset, rows_in, write_lines
 from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
 from .kernels import RBF, KernelSpec
 
@@ -250,6 +250,10 @@ def extract_lengthscale_analytic(
     )
 
 
+RECOVERY_MAX_EVALUATIONS = 150  # residual evaluations per least-squares start
+RECOVERY_TOL = 1e-9  # the residual norm below which a recovery has converged
+
+
 def recover_training_data_analytic(
     oracle: ModelOracle,
     spec: KernelSpec,
@@ -260,9 +264,7 @@ def recover_training_data_analytic(
     jitter: float = 1e-8,
     probe_box: tuple = (-5.0, 5.0),
     seed: int = 0,
-    max_iter: int = 150,
     restarts: int = 5,
-    success_tol: float = 1e-9,
 ) -> ExtractionReport:
     """Recover the n x d training coordinates of a noiseless victim with
     known kernel spec (lengthscale included) and known labels.
@@ -270,16 +272,16 @@ def recover_training_data_analytic(
     Poses sum_q (observed_mean(x_q) - refit_mean(X_hat, x_q))^2 over
     `query_budget` >= n*d+1 probes and minimizes it with scipy's
     `least_squares` (trust-region reflective, finite-difference Jacobian
-    with relative step 1e-6, at most `max_iter` residual evaluations), from
-    a matched-probe start and then seeded random restarts, until the
-    residual norm is below `success_tol`. `cost_history` holds the best
+    with relative step 1e-6, at most 150 residual evaluations per start),
+    from a matched-probe start and then seeded random restarts, until the
+    residual norm is below 1e-9. `cost_history` holds the best
     start's squared residual norm at its start and after each accepted
     step. `probe_box` is the attacker's prior on where the data lives, a
     (lo, hi) pair of scalars or per-dimension vectors. Recovered anchors are
     permutation-ambiguous within a label class; use `match_points` to align
     them with a reference.
     """
-    minimum = n * d + 1
+    minimum = query_complexity(LENGTHSCALE_KNOWN_PER_DIM, n, d).queries
     if query_budget < minimum:
         raise ValueError(
             f"query_budget {query_budget} is below the n*d+1 = {minimum} complexity bound"
@@ -326,7 +328,7 @@ def recover_training_data_analytic(
             c = 2.0 * float(intermediate_result.cost)  # scipy's cost is half the squared norm
             if c < run_history[-1]:  # an iteration whose step was rejected repeats the cost
                 run_history.append(c)
-            if c < success_tol**2:
+            if c < RECOVERY_TOL**2:
                 raise StopIteration
 
         solution = least_squares(
@@ -337,13 +339,13 @@ def recover_training_data_analytic(
             ftol=1e-15,
             xtol=1e-15,
             gtol=1e-15,
-            max_nfev=max_iter,
+            max_nfev=RECOVERY_MAX_EVALUATIONS,
             callback=record,
         )
         c = float(solution.fun @ solution.fun)
         if c < best_cost:
             best_cost, best_flat, history = c, solution.x, run_history
-        if best_cost < success_tol**2:
+        if best_cost < RECOVERY_TOL**2:
             break
 
     residual_norm = float(np.sqrt(best_cost))
@@ -351,7 +353,7 @@ def recover_training_data_analytic(
         estimate=best_flat.reshape(n, d),
         residual=residual_norm,
         queries_used=oracle.query_count - start_count,
-        converged=residual_norm < success_tol,
+        converged=residual_norm < RECOVERY_TOL,
         cost_history=tuple(history),
     )
 
@@ -451,14 +453,8 @@ def identify_kernel(
 
 
 def write_sweep_csv(path, sweep: dict):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("l_a,distance\n")
-        for length, distance in sweep["curve"]:
-            handle.write(f"{length!r},{distance!r}\n")
+    write_lines(path, ["l_a,distance", *(f"{length!r},{distance!r}" for length, distance in sweep["curve"])])
 
 
 def write_kernel_distances_csv(path, ranking: Sequence[tuple[KernelSpec, float]]):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("kernel,distance\n")
-        for spec, distance in ranking:
-            handle.write(f"{spec.family},{distance!r}\n")
+    write_lines(path, ["kernel,distance", *(f"{spec.family},{distance!r}" for spec, distance in ranking)])

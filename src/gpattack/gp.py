@@ -18,7 +18,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.special import expit
 
-from .data import Dataset
+from .data import Dataset, frozen_array, write_json, write_lines
 from .kernels import KernelSpec, kernel_gradient_x_batch, kernel_matrix, self_similarity
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "predict_with_rejection",
     "predict_with_zero_rejection",
     "latent_gradient",
+    "grid_points",
     "decision_grid",
     "accuracy",
     "select_variance",
@@ -77,11 +78,6 @@ def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
     if info != 0:
         raise FactorizationError(int(info))
     return chol
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _Rejection:
@@ -173,15 +169,11 @@ class TrainedGP:
         for name in ("train_features", "train_labels", "chol", "alpha", "latent_mode", "sqrt_w"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _readonly(np.ascontiguousarray(value, dtype=float)))
+                object.__setattr__(self, name, frozen_array(value))
         if self.mode not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown mode {self.mode!r}")
         if (self.latent_mode is not None) != (self.mode == CLASSIFICATION):
             raise ValueError("latent_mode is present iff mode is classification")
-
-    @property
-    def n(self) -> int:
-        return self.train_features.shape[0]
 
     @property
     def d(self) -> int:
@@ -225,8 +217,8 @@ def fit_regression(spec: KernelSpec, data: Dataset, jitter: float | None = None)
     alpha = cho_solve((chol, True), data.labels)
     return TrainedGP(
         spec=spec,
-        train_features=data.features.copy(),
-        train_labels=data.labels.copy(),
+        train_features=data.features,
+        train_labels=data.labels,
         chol=chol,
         alpha=alpha,
         jitter=jitter,
@@ -244,7 +236,6 @@ def fit_classification_laplace(
     data: Dataset,
     max_iter: int = 100,
     tol: float = 1e-8,
-    jitter: float | None = None,
     objective_history: list | None = None,
 ) -> TrainedGP:
     """Binary GP classification via the Laplace approximation.
@@ -252,7 +243,8 @@ def fit_classification_laplace(
     Newton iteration on the logistic-likelihood latent posterior mode,
     stopping once the mode changes by less than `tol` in max-norm or after
     `max_iter` iterations. Each Newton step is halved (up to 20 times)
-    until the unnormalized log posterior does not decrease.
+    until the unnormalized log posterior does not decrease. K carries the
+    default jitter, 1e-6 * variance, on its diagonal.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -261,7 +253,7 @@ def fit_classification_laplace(
     labels = data.labels
     if np.all(labels == labels[0]):
         raise ValueError("classification needs both classes in the training data")
-    jitter = _default_jitter(spec, jitter)
+    jitter = _default_jitter(spec, None)
 
     K = _jittered_gram(spec, data.features, jitter)
     n = data.n
@@ -306,8 +298,8 @@ def fit_classification_laplace(
     _, _, sw, chol_b = _laplace_factor(K, f)
     return TrainedGP(
         spec=spec,
-        train_features=data.features.copy(),
-        train_labels=data.labels.copy(),
+        train_features=data.features,
+        train_labels=data.labels,
         chol=chol_b,
         alpha=a,
         jitter=jitter,
@@ -403,10 +395,18 @@ class DecisionGrid:
         return int((self.labels == REJECT).sum())
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("x0,x1,label,mean,variance\n")
-            for p, lab, m, v in zip(self.points, self.labels, self.means, self.variances):
-                handle.write(f"{p[0]!r},{p[1]!r},{int(lab)},{m!r},{v!r}\n")
+        rows = zip(self.points, self.labels, self.means, self.variances)
+        lines = (f"{p[0]!r},{p[1]!r},{int(lab)},{m!r},{v!r}" for p, lab, m, v in rows)
+        write_lines(path, ["x0,x1,label,mean,variance", *lines])
+
+
+def grid_points(lo, hi, resolution: int) -> np.ndarray:
+    """The resolution x resolution grid spanning the 2-D box from corner `lo`
+    to corner `hi`, one point per row, row-major with x1 varying fastest."""
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    g0, g1 = np.meshgrid(*(np.linspace(lo[j], hi[j], resolution) for j in range(2)), indexing="ij")
+    return np.column_stack([g0.ravel(), g1.ravel()])
 
 
 def decision_grid(
@@ -422,13 +422,8 @@ def decision_grid(
     """
     if gp.d != 2:
         raise ValueError("decision grids require 2-D models")
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
     (lo0, hi0), (lo1, hi1) = bounds
-    xs = np.linspace(lo0, hi0, resolution)
-    ys = np.linspace(lo1, hi1, resolution)
-    g0, g1 = np.meshgrid(xs, ys, indexing="ij")
-    points = np.column_stack([g0.ravel(), g1.ravel()])
+    points = grid_points((lo0, lo1), (hi0, hi1), resolution)
     means, variances = predict_batch(gp, points)
     labels = np.sign(means).astype(int) if policy is None else policy.labels(means)
     return DecisionGrid(points=points, labels=labels, means=means, variances=variances, resolution=resolution)
@@ -489,9 +484,7 @@ def _to_json_dict(gp: TrainedGP) -> dict:
 
 
 def save_gp(gp: TrainedGP, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_to_json_dict(gp), handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(path, _to_json_dict(gp))
 
 
 def load_gp(path) -> TrainedGP:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, rows_in
+from .data import Dataset, frozen_array, rows_in
 from .gp import CLASSIFICATION, TrainedGP, accuracy as gp_accuracy, predict_batch
 from .kernels import RBF, kernel_matrix, scaled_sq_distances
 
@@ -55,14 +55,12 @@ class MembershipDataset:
     feature_set: tuple[str, ...]
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.feature_rows, dtype=float)
-        labels = np.ascontiguousarray(self.membership_labels, dtype=int)
+        rows = frozen_array(self.feature_rows)
+        labels = frozen_array(self.membership_labels, dtype=int)
         if rows.ndim != 2 or labels.shape != (rows.shape[0],):
             raise ValueError("feature_rows must be 2-D with one label per row")
         if not np.all(np.isin(labels, (MEMBER, NON_MEMBER))):
             raise ValueError("membership labels must be 0 or 1")
-        rows.flags.writeable = False
-        labels.flags.writeable = False
         object.__setattr__(self, "feature_rows", rows)
         object.__setattr__(self, "membership_labels", labels)
         object.__setattr__(self, "feature_set", tuple(self.feature_set))
@@ -223,10 +221,6 @@ class AttackClassifier:
     def __init__(self, trees: list[_Node], n_features: int):
         self._trees = trees
         self._n_features = n_features
-
-    @property
-    def n_trees(self) -> int:
-        return len(self._trees)
 
     def predict(self, rows) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import frozen_array
 from .gp import RejectionPolicy, TrainedGP, latent_mean_batch, REJECT
 from .kernels import RBF, KernelSpec, kernel_matrix, scaled_sq_distances
 
@@ -31,6 +32,8 @@ __all__ = [
     "generalization_probe",
 ]
 
+IDENTITY_EPS = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class SecureClassifier:
@@ -41,14 +44,12 @@ class SecureClassifier:
     rho: float
 
     def __post_init__(self):
-        anchors = np.ascontiguousarray(self.anchors, dtype=float)
-        labels = np.ascontiguousarray(self.labels, dtype=float)
+        anchors = frozen_array(self.anchors)
+        labels = frozen_array(self.labels)
         if anchors.ndim != 2 or anchors.shape[0] < 1:
             raise ValueError("anchors must be a nonempty n x d matrix")
         if labels.shape != (anchors.shape[0],) or not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be one value in {-1, +1} per anchor")
-        anchors.flags.writeable = False
-        labels.flags.writeable = False
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "labels", labels)
 
@@ -116,22 +117,17 @@ def _secure_classify_batch(sc: SecureClassifier, spec: KernelSpec, points: np.nd
     return np.where(best_sim > sc.rho, labels, REJECT)
 
 
-def equivalence_check(
-    sc: SecureClassifier,
-    gp: TrainedGP,
-    policy: RejectionPolicy,
-    probes,
-    identity_eps: float = 1e-10,
-) -> dict:
+def equivalence_check(sc: SecureClassifier, gp: TrainedGP, policy: RejectionPolicy, probes) -> dict:
     """Compare the secure classifier against GP-with-rejection probe by probe.
 
     Preconditions are enforced rather than silently ignored: the GP must be
-    trained on exactly the anchors/labels, the anchors must satisfy the
-    identity assumption, and the thresholds must match tau0 = tau1 = 1 - rho.
+    trained on exactly the anchors/labels, every off-diagonal kernel entry
+    between anchors must be below IDENTITY_EPS (the identity assumption),
+    and the thresholds must match tau0 = tau1 = 1 - rho.
     """
     if not np.array_equal(gp.train_features, sc.anchors) or not np.array_equal(gp.train_labels, sc.labels):
         raise ValueError("the GP must be trained on the secure classifier's anchors and labels")
-    if not check_identity_assumption(sc.anchors, gp.spec, identity_eps):
+    if not check_identity_assumption(sc.anchors, gp.spec, IDENTITY_EPS):
         raise ValueError("identity assumption violated: some anchors are too similar")
     expected = 1.0 - sc.rho
     if abs(policy.tau0 - expected) > 1e-12 or abs(policy.tau1 - expected) > 1e-12:

@@ -145,6 +145,7 @@ class TestMain:
             {"dataset": {"generator": "blobs", "d": "3"}},
             {"dataset": {"generator": "blobs", "separation": "far"}},
             {"dataset": {"csv": 5, "label_column": "y"}},
+            {"extract": {"recover_budget_factor": 1}},
         ],
         ids=[
             "unknown-key",
@@ -169,6 +170,7 @@ class TestMain:
             "string-blob-dimension",
             "string-separation",
             "int-csv-path",
+            "budget-factor-one",
         ],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, section):

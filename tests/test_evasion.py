@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpattack.data import Dataset, generate_two_moons, split
 from gpattack.evasion import (
@@ -217,3 +219,56 @@ class TestAttackCsv:
         assert lines[0] == "attack,epsilon,success,l0,l2,linf,orig_0,orig_1,adv_0,adv_1"
         assert len(lines) == 9
         assert sum(line.startswith("gpfgs,") for line in lines[1:]) == 4
+
+
+@st.composite
+def attack_cases(draw):
+    """A small RBF classifier, a box and a point inside the box."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6))
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+    features = np.array(draw(st.lists(coordinate, min_size=n * d, max_size=n * d))).reshape(n, d)
+    labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    lengthscale = draw(st.floats(0.2, 3.0))
+    gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=lengthscale), Dataset(features, labels))
+    lo = np.array(draw(st.lists(st.floats(-4.0, 0.0), min_size=d, max_size=d)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d)))
+    x = lo + (hi - lo) * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    return gp, (lo, hi), x
+
+
+def assert_attack_invariants(gp, box, result):
+    lo, hi = box
+    assert np.all(result.adversarial >= lo - 1e-12) and np.all(result.adversarial <= hi + 1e-12)
+    before = np.sign(latent_mean(gp, result.original))
+    after = np.sign(latent_mean(gp, result.adversarial))
+    assert result.success == (before != 0 and after == -before)
+
+
+class TestAttackProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(attack_cases(), st.floats(0.0, 2.0))
+    def test_gpfgs(self, case, epsilon):
+        gp, box, x = case
+        result = gpfgs(gp, x, epsilon, box)
+        assert_attack_invariants(gp, box, result)
+        assert result.norms["linf"] <= epsilon + 1e-12
+        assert result.iterations_used == 1
+
+    @settings(derandomize=True, deadline=None)
+    @given(attack_cases(), st.integers(1, 4), st.floats(0.01, 2.0))
+    def test_gpjm(self, case, budget, step):
+        gp, box, x = case
+        result = gpjm(gp, x, budget, step, box)
+        assert_attack_invariants(gp, box, result)
+        assert result.norms["l0"] <= min(budget, gp.d)
+        assert np.all(np.abs(result.delta) <= step + 1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(attack_cases(), st.integers(1, 8), st.floats(0.001, 0.5), st.floats(0.0, 10.0), st.integers(0, 5))
+    def test_cw_l2(self, case, max_iter, step_size, confidence, seed):
+        gp, box, x = case
+        config = AttackConfig(max_iter=max_iter, step_size=step_size, confidence=confidence, box=box)
+        result = cw_l2(gp, x, config, seed=seed)
+        assert_attack_invariants(gp, box, result)
+        assert result.iterations_used == 3 * max_iter

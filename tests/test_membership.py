@@ -3,7 +3,7 @@ import pytest
 
 from gpattack.data import Dataset, generate_blobs, split
 from gpattack.gp import fit_classification_laplace, fit_regression
-from gpattack.kernels import RBF, KernelSpec
+from gpattack.kernels import LINEAR, POLY, RBF, KernelSpec
 from gpattack.membership import (
     LATENT_MEAN,
     MEAN,
@@ -247,6 +247,29 @@ class TestDistributionDrift:
         pair = Dataset(train.features[:2], train.labels[:2])
         with pytest.raises(ValueError):
             distribution_drift(gp, pair, rest)  # one within pair, zero spread
+
+    def test_poly_kernel_uses_negative_log_similarity(self):
+        rng = np.random.default_rng(0)
+        train = Dataset(rng.uniform(0.1, 2.0, size=(12, 2)), np.where(np.arange(12) % 2, 1.0, -1.0))
+        test = Dataset(rng.uniform(0.1, 2.0, size=(9, 2)), np.where(np.arange(9) % 2, 1.0, -1.0))
+        spec = KernelSpec(POLY, variance=2.0, degree=3, offset=0.5)
+        gp = fit_regression(spec, train)
+
+        def distances(A, B):  # -log(k/v) with k = v * (<a, b> + offset)^degree
+            return -np.log((A @ B.T + 0.5) ** 3)
+
+        within = distances(train.features, train.features)[np.triu_indices(train.n, k=1)]
+        cross = distances(train.features, test.features).ravel()
+        result = distribution_drift(gp, train, test)
+        assert result["within_std"] == pytest.approx(np.std(within), rel=1e-12)
+        assert result["cross_std"] == pytest.approx(np.std(cross), rel=1e-12)
+
+    def test_linear_kernel_rejects_nonpositive_similarity(self):
+        train = Dataset(np.array([[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0, 1.0]))
+        test = Dataset(np.array([[1.0, 2.0], [-1.0, -1.0]]), np.array([1.0, -1.0]))
+        gp = fit_regression(KernelSpec(LINEAR), train)
+        with pytest.raises(ValueError, match="strictly positive"):
+            distribution_drift(gp, train, test)
 
 
 class TestPipelineDeterminism:
