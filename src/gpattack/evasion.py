@@ -140,6 +140,8 @@ def gpfgs(gp: TrainedGP, x, epsilon: float, box=None) -> AdversarialResult:
 def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialResult:
     """Greedy saliency attack: change at most `budget` distinct features.
 
+    The attack starts from x clipped into the box, as cw_l2 does; features
+    that clipping moves count in the result's l0 but not against `budget`.
     Each round touches the not-yet-modified feature whose gradient component
     moves the latent mean fastest toward the opposite class, by +-step
     (clipped to the box), until the decision flips or the budget runs out.
@@ -152,11 +154,12 @@ def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialRes
     x = np.asarray(x, dtype=float)
     lo, hi = _resolve_box(gp, box)
     label = _sign_label(latent_mean(gp, x))
-    current = x.copy()
+    current = np.clip(x, lo, hi)
     untouched = np.ones(gp.d, dtype=bool)
     iterations = 0
-    success = False
-    if label != 0:
+    # clipping alone may already flip the decision
+    success = label != 0 and not np.array_equal(current, x) and _sign_label(latent_mean(gp, current)) == -label
+    if label != 0 and not success:
         for _ in range(min(budget, gp.d)):
             grad = latent_gradient(gp, current)
             saliency = np.where(untouched, np.abs(grad), -1.0)

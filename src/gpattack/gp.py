@@ -487,22 +487,61 @@ def save_gp(gp: TrainedGP, path):
     write_json(path, _to_json_dict(gp))
 
 
+# Relative tolerance of the stored-alpha check in load_gp: the residual of
+# the system alpha solves may be at most this times |K| |alpha| + |target|
+# (max norms), far above a Cholesky solve's round-off and far below the
+# residual of any other model's weights.
+_ALPHA_RTOL = 1e-8
+
+
+def _stored_array(payload: dict, key: str, shape: tuple | None = None) -> np.ndarray:
+    value = np.array(payload[key], dtype=float)
+    if shape is not None and value.shape != shape:
+        raise ValueError(f"model file: {key} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"model file: {key} holds a non-finite value")
+    return value
+
+
 def load_gp(path) -> TrainedGP:
-    """Reload a model saved by save_gp; factorizations are recomputed exactly."""
+    """Reload a model saved by save_gp; factorizations are recomputed exactly.
+
+    A file save_gp could not have written raises ValueError: an unknown
+    mode, arrays of the wrong shape, non-finite values, a non-positive
+    jitter, labels outside {-1, +1}, or an `alpha` that does not solve its
+    fit, (K + jitter I) alpha = labels for regression and
+    (K + jitter I) alpha = latent_mode for classification, each to the
+    relative tolerance _ALPHA_RTOL (1e-8).
+    """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    mode = payload["mode"]
+    if mode not in (REGRESSION, CLASSIFICATION):
+        raise ValueError(f"model file: unknown mode {mode!r}")
     spec = KernelSpec.from_json_dict(payload["spec"])
-    features = np.array(payload["train_features"], dtype=float)
-    labels = np.array(payload["train_labels"], dtype=float)
-    alpha = np.array(payload["alpha"], dtype=float)
+    features = _stored_array(payload, "train_features")
+    if features.ndim != 2 or features.shape[0] < 1:
+        raise ValueError(f"model file: train_features has shape {features.shape}, expected (n, d)")
+    n = features.shape[0]
+    labels = _stored_array(payload, "train_labels", (n,))
+    if not np.isin(labels, (-1.0, 1.0)).all():
+        raise ValueError("model file: train_labels must be -1 or +1")
+    alpha = _stored_array(payload, "alpha", (n,))
     jitter = float(payload["jitter"])
+    if not (np.isfinite(jitter) and jitter > 0):
+        raise ValueError(f"model file: jitter {jitter!r} is not a positive number")
     K = _jittered_gram(spec, features, jitter)
-    if payload["mode"] == REGRESSION:
+    if mode == REGRESSION:
         f = sw = None
+        target = labels
         chol = _cholesky_lower(K)
     else:
-        f = np.array(payload["latent_mode"], dtype=float)
+        f = target = _stored_array(payload, "latent_mode", (n,))
         _, _, sw, chol = _laplace_factor(K, f)
+    residual = np.abs(K @ alpha - target).max()
+    scale = np.abs(K).sum(axis=1).max() * np.abs(alpha).max() + np.abs(target).max()
+    if not residual <= _ALPHA_RTOL * scale:
+        raise ValueError(f"model file: alpha does not reproduce the fit (residual {residual:.3g}, scale {scale:.3g})")
     return TrainedGP(
         spec=spec,
         train_features=features,
@@ -510,7 +549,7 @@ def load_gp(path) -> TrainedGP:
         chol=chol,
         alpha=alpha,
         jitter=jitter,
-        mode=payload["mode"],
+        mode=mode,
         latent_mode=f,
         sqrt_w=sw,
     )

@@ -45,6 +45,12 @@ FEATURE_ORDER = (MEAN, VARIANCE, LATENT_MEAN, RAW_INPUT)
 MEMBER = 1
 NON_MEMBER = 0
 
+# Trees grow in groups of at most this many bootstrap rows (at least one
+# tree each), so every per-level array of a group takes 64 kB or less
+# however many trees the forest has.
+_GROUP_SAMPLES = 8192
+_TABLE = ("feature", "threshold", "left", "right", "leaf")
+
 
 @dataclass(frozen=True, eq=False)
 class MembershipDataset:
@@ -155,105 +161,199 @@ def split_attack_dataset(
     )
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "leaf")
-
-    def __init__(self, leaf=None, feature=-1, threshold=0.0, left=None, right=None):
-        self.leaf = leaf
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
-def _majority(y: np.ndarray) -> int:
-    ones = int(y.sum())
-    zeros = len(y) - ones
-    return MEMBER if ones > zeros else NON_MEMBER
-
-
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
-    # exhaustive threshold search per candidate feature, vectorized with
-    # prefix class counts over the sorted column
-    m = len(y)
-    best = None
-    for feature in features:
-        order = np.argsort(X[:, feature], kind="stable")
-        values = X[order, feature]
-        ones = np.cumsum(y[order])
-        boundaries = np.flatnonzero(values[1:] > values[:-1])
-        if len(boundaries) == 0:
-            continue
-        left_n = boundaries + 1.0
-        right_n = m - left_n
-        left_ones = ones[boundaries]
-        right_ones = ones[-1] - left_ones
-        p_left = left_ones / left_n
-        p_right = right_ones / right_n
-        gini = (left_n * 2 * p_left * (1 - p_left) + right_n * 2 * p_right * (1 - p_right)) / m
-        i = int(np.argmin(gini))
-        candidate = (float(gini[i]), int(feature), float(0.5 * (values[boundaries[i]] + values[boundaries[i] + 1])))
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-    return best
-
-
-def _build_tree(X: np.ndarray, y: np.ndarray, depth: int, n_sub: int, rng: np.random.Generator) -> _Node:
-    if depth == 0 or np.all(y == y[0]):
-        return _Node(leaf=_majority(y))
-    features = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
-    found = _best_split(X, y, features)
-    if found is None:
-        return _Node(leaf=_majority(y))
-    _, feature, threshold = found
-    mask = X[:, feature] <= threshold
-    return _Node(
-        feature=feature,
-        threshold=threshold,
-        left=_build_tree(X[mask], y[mask], depth - 1, n_sub, rng),
-        right=_build_tree(X[~mask], y[~mask], depth - 1, n_sub, rng),
-    )
-
-
+@dataclass(frozen=True, eq=False)
 class AttackClassifier:
-    """Majority vote over axis-aligned binary decision trees."""
+    """Majority vote over axis-aligned binary decision trees.
 
-    def __init__(self, trees: list[_Node], n_features: int):
-        self._trees = trees
-        self._n_features = n_features
+    The forest is one flat node table; tree t starts at node `roots[t]`.
+    Node i is a leaf voting `leaf[i]` when `feature[i]` is -1; otherwise a
+    row goes to node `left[i]` when its `feature[i]` value is <= `threshold[i]`
+    and to node `right[i]` when not. Unused entries hold -1 (0.0 for
+    `threshold`).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+    roots: np.ndarray
+    n_features: int
+
+    def __post_init__(self):
+        for name in ("feature", "left", "right", "leaf", "roots"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype=np.int32))
+        object.__setattr__(self, "threshold", frozen_array(self.threshold))
 
     def predict(self, rows) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self._n_features:
-            raise ValueError(f"expected {self._n_features} features, got {rows.shape[1]}")
-        votes = np.zeros(rows.shape[0])
-        for tree in self._trees:
-            for i, row in enumerate(rows):
-                node = tree
-                while node.leaf is None:
-                    node = node.left if row[node.feature] <= node.threshold else node.right
-                votes[i] += node.leaf
-        return np.where(2 * votes > len(self._trees), MEMBER, NON_MEMBER)
+        if rows.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {rows.shape[1]}")
+        # walk every (row, tree) pair one level per pass until all sit on leaves
+        node = np.tile(self.roots, (rows.shape[0], 1))
+        row = np.arange(rows.shape[0])[:, None]
+        while True:
+            feature = self.feature[node]
+            inner = feature >= 0
+            if not inner.any():
+                break
+            go_left = rows[row, np.maximum(feature, 0)] <= self.threshold[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
+        votes = self.leaf[node].sum(axis=1)
+        return np.where(2 * votes > len(self.roots), MEMBER, NON_MEMBER)
+
+
+def _level_splits(X, rows, local, labels, size, ones, allowed):
+    """Best Gini split of every open node of one level.
+
+    `rows`/`labels` are the samples of the open nodes, `local` their node's
+    index among them, and `size`/`ones` each open node's sample and member
+    counts. Per feature, one sort by (node, value)
+    gives every node's sorted column as one segment; prefix member counts
+    within a segment score each boundary between distinct values. A node
+    keeps the first minimum over its boundaries and, across features, the
+    lowest feature index among equal Ginis, and splits at the midpoint of
+    the boundary's two values (at the lower one where the midpoint rounds
+    to the upper). `allowed[k, j]` says whether
+    node k may split on feature j (None: every feature). Returns the chosen
+    feature (-1 where no boundary exists) and threshold per node.
+    """
+    count = len(size)
+    starts = np.cumsum(size) - size
+    ones_before = np.cumsum(ones) - ones
+    best_gini = np.full(count, np.inf)
+    best_feature = np.full(count, -1, dtype=np.int32)
+    best_threshold = np.zeros(count)
+    for j in range(X.shape[1]):
+        values = X[rows, j]
+        order = np.lexsort((values, local))
+        values = values[order]
+        node = local[order]
+        cum = np.cumsum(labels[order])
+        del order
+        boundary = np.flatnonzero((node[1:] == node[:-1]) & (values[1:] > values[:-1]))
+        at = node[boundary]
+        if allowed is not None:
+            keep = allowed[at, j]
+            boundary, at = boundary[keep], at[keep]
+        if len(boundary) == 0:
+            continue
+        m = size[at]
+        left_n = (boundary - starts[at]) + 1.0
+        right_n = m - left_n
+        left_ones = cum[boundary] - ones_before[at]
+        right_ones = ones[at] - left_ones
+        p_left = left_ones / left_n
+        p_right = right_ones / right_n
+        gini = (left_n * 2 * p_left * (1 - p_left) + right_n * 2 * p_right * (1 - p_right)) / m
+        del left_n, right_n, left_ones, right_ones, p_left, p_right, m, cum
+        # first minimum per node: boundaries are grouped by node in value order
+        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        lowest = np.repeat(np.minimum.reduceat(gini, first), np.diff(np.append(first, len(at))))
+        hit = np.flatnonzero(gini == lowest)
+        hit = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
+        k, g, b = at[hit], gini[hit], boundary[hit]
+        better = g < best_gini[k]
+        k, b = k[better], b[better]
+        best_gini[k] = g[better]
+        best_feature[k] = j
+        low, high = values[b], values[b + 1]
+        middle = 0.5 * (low + high)
+        # the midpoint of two adjacent doubles (or of two huge ones) can
+        # round to the larger value, which would send it left as well
+        best_threshold[k] = np.where(middle < high, middle, low)
+    return best_feature, best_threshold
+
+
+def _grow_group(X, labels, rngs, max_depth, first, table) -> int:
+    """Grow one tree per generator in `rngs`, all together one depth at a
+    time, appending each level's nodes to the lists in `table` with ids from
+    `first` on. Returns the id after the last node."""
+    m, f = X.shape
+    n_sub = math.ceil(math.sqrt(f))
+    rows = np.concatenate([rng.integers(0, m, size=m) for rng in rngs]).astype(np.int32)
+    local = np.repeat(np.arange(len(rngs), dtype=np.int32), m)
+    tree_of = np.arange(len(rngs), dtype=np.int32)
+    for depth in range(max_depth + 1):
+        count = len(tree_of)
+        y = labels[rows]
+        size = np.bincount(local, minlength=count)
+        ones = np.bincount(local, weights=y, minlength=count).astype(np.int64)
+        majority = np.where(2 * ones > size, MEMBER, NON_MEMBER)
+        open_nodes = np.flatnonzero((ones > 0) & (ones < size)) if depth < max_depth else np.empty(0, dtype=int)
+        feature = np.full(count, -1, dtype=np.int32)
+        threshold = np.zeros(count)
+        if len(open_nodes):
+            allowed = None
+            if n_sub < f:
+                allowed = np.zeros((len(open_nodes), f), dtype=bool)
+                for i, k in enumerate(open_nodes):
+                    allowed[i, rngs[tree_of[k]].choice(f, size=n_sub, replace=False)] = True
+            position = np.full(count, -1, dtype=np.int32)
+            position[open_nodes] = np.arange(len(open_nodes), dtype=np.int32)
+            sample_open = position[local] >= 0
+            rows, local, y = rows[sample_open], position[local[sample_open]], y[sample_open]
+            del sample_open
+            split_feature, split_threshold = _level_splits(
+                X, rows, local, y, size[open_nodes], ones[open_nodes], allowed
+            )
+            feature[open_nodes] = split_feature
+            threshold[open_nodes] = split_threshold
+            local = open_nodes[local].astype(np.int32)
+        split = feature >= 0
+        n_split = int(split.sum())
+        child = np.full(count, -1, dtype=np.int32)
+        child[split] = first + count + 2 * np.arange(n_split, dtype=np.int32)
+        table["feature"].append(feature)
+        table["threshold"].append(threshold)
+        table["left"].append(child)
+        table["right"].append(np.where(split, child + 1, -1))
+        table["leaf"].append(np.where(split, -1, majority))
+        first += count
+        if n_split == 0:
+            return first
+        keep = split[local]
+        rows, local = rows[keep], local[keep]
+        del keep
+        go_right = ~(X[rows, feature[local]] <= threshold[local])
+        local = (child[local] - first + go_right).astype(np.int32)
+        tree_of = np.repeat(tree_of[split], 2)
+    return first
 
 
 def train_attack_classifier(
     ds: MembershipDataset, trees: int = 100, max_depth: int = 8, seed: int = 0
 ) -> AttackClassifier:
     """Train the forest: bootstrapped rows per tree, ceil(sqrt(f)) random
-    features per split, deterministic for a fixed seed."""
+    features per split, deterministic for a fixed seed.
+
+    Tree t draws its bootstrap from its own generator, spawned from `seed`.
+    A node becomes a leaf (majority vote, ties to non-member) at depth
+    `max_depth`, when its rows share one label, or when no candidate feature
+    separates them; otherwise it splits at the midpoint of the lowest-Gini
+    boundary. All trees grow together one depth at a time. With f features
+    and ceil(sqrt(f)) < f, every node that is not yet a leaf by depth or
+    purity draws its candidate features from its tree's generator, in level
+    order: depth by depth, left to right. With f <= 2 every node considers
+    every feature and nothing is drawn after the bootstrap.
+    """
     if trees < 1 or max_depth < 1:
         raise ValueError("trees and max_depth must be at least 1")
     labels = ds.membership_labels
     if np.all(labels == labels[0]):
         raise ValueError("attack training data must contain both membership classes")
     X = ds.feature_rows
-    n_sub = math.ceil(math.sqrt(X.shape[1]))
-    forest = []
-    for seq in np.random.SeedSequence(seed).spawn(trees):
-        rng = np.random.default_rng(seq)
-        idx = rng.integers(0, ds.m, size=ds.m)
-        forest.append(_build_tree(X[idx], labels[idx], max_depth, n_sub, rng))
-    return AttackClassifier(forest, X.shape[1])
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(trees)]
+    table = {name: [] for name in _TABLE}
+    roots = []
+    first = 0
+    step = max(1, _GROUP_SAMPLES // ds.m)
+    for start in range(0, trees, step):
+        group = rngs[start : start + step]
+        roots.append(np.arange(first, first + len(group)))
+        first = _grow_group(X, labels, group, max_depth, first, table)
+    parts = {name: np.concatenate(levels) for name, levels in table.items()}
+    return AttackClassifier(**parts, roots=np.concatenate(roots), n_features=X.shape[1])
 
 
 def evaluate_membership(clf: AttackClassifier, test: MembershipDataset) -> dict:

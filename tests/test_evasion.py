@@ -222,8 +222,9 @@ class TestAttackCsv:
 
 
 @st.composite
-def attack_cases(draw):
-    """A small RBF classifier, a box and a point inside the box."""
+def attack_cases(draw, outside=False):
+    """A small RBF classifier, a box and a point inside the box, or with
+    `outside` a point with at least one feature outside it."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 6))
     coordinate = st.floats(-3.0, 3.0, allow_nan=False)
@@ -233,7 +234,10 @@ def attack_cases(draw):
     gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=lengthscale), Dataset(features, labels))
     lo = np.array(draw(st.lists(st.floats(-4.0, 0.0), min_size=d, max_size=d)))
     hi = lo + np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d)))
-    x = lo + (hi - lo) * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    position = np.array(draw(st.lists(st.floats(-1.0, 2.0) if outside else st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    if outside:
+        position[draw(st.integers(0, d - 1))] = draw(st.floats(-1.0, -0.01) | st.floats(1.01, 2.0))
+    x = lo + (hi - lo) * position
     return gp, (lo, hi), x
 
 
@@ -272,3 +276,11 @@ class TestAttackProperties:
         result = cw_l2(gp, x, config, seed=seed)
         assert_attack_invariants(gp, box, result)
         assert result.iterations_used == 3 * max_iter
+
+    @settings(derandomize=True, deadline=None)
+    @given(attack_cases(outside=True), st.floats(0.0, 2.0), st.integers(1, 4), st.floats(0.01, 2.0), st.integers(1, 4))
+    def test_start_outside_box_ends_inside(self, case, epsilon, budget, step, max_iter):
+        gp, box, x = case
+        config = AttackConfig(max_iter=max_iter, step_size=0.1, box=box)
+        for result in (gpfgs(gp, x, epsilon, box), gpjm(gp, x, budget, step, box), cw_l2(gp, x, config)):
+            assert_attack_invariants(gp, box, result)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,3 +435,46 @@ class TestSerialization:
         q = np.array([0.5, 0.2])
         assert predict(loaded, q) == predict(gp, q)
         assert loaded.mode == CLASSIFICATION
+
+    @staticmethod
+    def corrupted(tmp_path, edit):
+        data = generate_two_moons(40, 0.15, 3)
+        gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), data)
+        path = tmp_path / "model.json"
+        save_gp(gp, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_truncated_alpha_rejected(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda p: p.update(alpha=p["alpha"][:-1]))
+        with pytest.raises(ValueError, match="alpha has shape"):
+            load_gp(path)
+
+    def test_nan_feature_rejected(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda p: p["train_features"][3].__setitem__(1, float("nan")))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_gp(path)
+
+    def test_label_outside_pm_one_rejected(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda p: p["train_labels"].__setitem__(0, 0.5))
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            load_gp(path)
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda p: p.update(mode="ranking"))
+        with pytest.raises(ValueError, match="unknown mode"):
+            load_gp(path)
+
+    def test_swapped_mode_rejected(self, tmp_path):
+        # classification weights do not solve the regression system
+        path = self.corrupted(tmp_path, lambda p: p.update(mode="regression", latent_mode=None))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            load_gp(path)
+
+    def test_alpha_of_another_model_rejected(self, tmp_path):
+        other = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.8), generate_two_moons(40, 0.15, 3))
+        path = self.corrupted(tmp_path, lambda p: p.update(alpha=other.alpha.tolist()))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            load_gp(path)

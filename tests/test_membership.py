@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpattack.data import Dataset, generate_blobs, split
 from gpattack.gp import fit_classification_laplace, fit_regression
@@ -102,18 +106,18 @@ class TestForest:
         ds = toy_dataset(rows, labels, (MEAN, VARIANCE, LATENT_MEAN))
         a = train_attack_classifier(ds, trees=20, max_depth=4, seed=9)
         b = train_attack_classifier(ds, trees=20, max_depth=4, seed=9)
+        for name in ("feature", "threshold", "left", "right", "leaf"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
-        def flatten(node, out):
-            if node.leaf is not None:
-                out.append(("leaf", node.leaf))
-            else:
-                out.append((node.feature, node.threshold))
-                flatten(node.left, out)
-                flatten(node.right, out)
-            return out
-
-        for tree_a, tree_b in zip(a._trees, b._trees):
-            assert flatten(tree_a, []) == flatten(tree_b, [])
+    def test_split_between_adjacent_doubles_separates_them(self):
+        # 0.5 * (prev(1.0) + 1.0) rounds to 1.0, so a midpoint threshold
+        # would send the 1.0 rows left with the prev(1.0) rows
+        below = np.nextafter(1.0, 0.0)
+        rows = np.repeat([[0.0], [below], [1.0]], 10, axis=0)
+        labels = np.repeat([NON_MEMBER, NON_MEMBER, MEMBER], 10)
+        clf = train_attack_classifier(toy_dataset(rows, labels), trees=1, max_depth=3, seed=0)
+        assert clf.threshold[clf.roots[0]] == below
+        assert np.array_equal(clf.predict(rows), labels)
 
     def test_one_class_data_rejected(self):
         ds = toy_dataset([[1.0], [2.0]], [MEMBER, MEMBER])
@@ -143,6 +147,165 @@ class TestForest:
         base = train_attack_classifier(toy_dataset(rows, labels, (MEAN, VARIANCE)), trees=25, seed=7)
         rewarped = train_attack_classifier(toy_dataset(warped, labels, (MEAN, VARIANCE)), trees=25, seed=7)
         assert np.array_equal(base.predict(rows), rewarped.predict(warped))
+
+
+class _RefNode:
+    __slots__ = ("feature", "threshold", "left", "right", "leaf")
+
+    def __init__(self, leaf=None, feature=-1, threshold=0.0, left=None, right=None):
+        self.leaf = leaf
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+
+
+def _ref_majority(y):
+    ones = int(y.sum())
+    zeros = len(y) - ones
+    return MEMBER if ones > zeros else NON_MEMBER
+
+
+def _ref_best_split(X, y, features):
+    m = len(y)
+    best = None
+    for feature in features:
+        order = np.argsort(X[:, feature], kind="stable")
+        values = X[order, feature]
+        ones = np.cumsum(y[order])
+        boundaries = np.flatnonzero(values[1:] > values[:-1])
+        if len(boundaries) == 0:
+            continue
+        left_n = boundaries + 1.0
+        right_n = m - left_n
+        left_ones = ones[boundaries]
+        right_ones = ones[-1] - left_ones
+        p_left = left_ones / left_n
+        p_right = right_ones / right_n
+        gini = (left_n * 2 * p_left * (1 - p_left) + right_n * 2 * p_right * (1 - p_right)) / m
+        i = int(np.argmin(gini))
+        candidate = (float(gini[i]), int(feature), float(0.5 * (values[boundaries[i]] + values[boundaries[i] + 1])))
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    return best
+
+
+def _ref_build_tree(X, y, depth, n_sub, rng):
+    if depth == 0 or np.all(y == y[0]):
+        return _RefNode(leaf=_ref_majority(y))
+    features = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
+    found = _ref_best_split(X, y, features)
+    if found is None:
+        return _RefNode(leaf=_ref_majority(y))
+    _, feature, threshold = found
+    mask = X[:, feature] <= threshold
+    return _RefNode(
+        feature=feature,
+        threshold=threshold,
+        left=_ref_build_tree(X[mask], y[mask], depth - 1, n_sub, rng),
+        right=_ref_build_tree(X[~mask], y[~mask], depth - 1, n_sub, rng),
+    )
+
+
+def reference_forest(ds, trees, max_depth, seed):
+    """The recursive depth-first forest the flat one must reproduce for
+    f <= 2 features (for f >= 3 it draws feature subsets in another order)."""
+    X = ds.feature_rows
+    n_sub = math.ceil(math.sqrt(X.shape[1]))
+    forest = []
+    for seq in np.random.SeedSequence(seed).spawn(trees):
+        rng = np.random.default_rng(seq)
+        idx = rng.integers(0, ds.m, size=ds.m)
+        forest.append(_ref_build_tree(X[idx], ds.membership_labels[idx], max_depth, n_sub, rng))
+    return forest
+
+
+def reference_predict(forest, rows):
+    votes = np.zeros(len(rows))
+    for tree in forest:
+        for i, row in enumerate(rows):
+            node = tree
+            while node.leaf is None:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            votes[i] += node.leaf
+    return np.where(2 * votes > len(forest), MEMBER, NON_MEMBER)
+
+
+def preorder(node, out):
+    if node.leaf is not None:
+        out.append(("leaf", node.leaf))
+    else:
+        out.append((node.feature, node.threshold))
+        preorder(node.left, out)
+        preorder(node.right, out)
+    return out
+
+
+def flat_preorder(clf, i, out):
+    if clf.feature[i] < 0:
+        out.append(("leaf", int(clf.leaf[i])))
+    else:
+        out.append((int(clf.feature[i]), float(clf.threshold[i])))
+        flat_preorder(clf, clf.left[i], out)
+        flat_preorder(clf, clf.right[i], out)
+    return out
+
+
+@st.composite
+def forest_cases(draw):
+    """Rows on a coarse grid (so ties are common), optionally with a
+    constant column, labels holding both classes, and five query rows on
+    the same grid."""
+    f = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 40))
+    value = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    rows = np.array(draw(st.lists(value, min_size=m * f, max_size=m * f))).reshape(m, f)
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, f - 1))] = 2.0
+    labels = np.array(draw(st.lists(st.sampled_from([MEMBER, NON_MEMBER]), min_size=m, max_size=m)))
+    labels[draw(st.integers(0, m - 1))] = MEMBER
+    labels[draw(st.integers(0, m - 1))] = NON_MEMBER
+    if labels.min() == labels.max():
+        labels[0] = NON_MEMBER if labels[0] == MEMBER else MEMBER
+    features = (MEAN, VARIANCE)[:f]
+    queries = np.array(draw(st.lists(value, min_size=5 * f, max_size=5 * f))).reshape(5, f)
+    return toy_dataset(rows, labels, features), queries
+
+
+class TestForestMatchesReference:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(forest_cases(), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16))
+    def test_flat_forest_equals_recursive(self, case, trees, max_depth, seed):
+        ds, queries = case
+        clf = train_attack_classifier(ds, trees=trees, max_depth=max_depth, seed=seed)
+        forest = reference_forest(ds, trees, max_depth, seed)
+        for t, tree in enumerate(forest):
+            assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
+        rows = np.vstack([ds.feature_rows, queries])
+        assert np.array_equal(clf.predict(rows), reference_predict(forest, rows))
+
+    def test_forest_spanning_several_groups_equals_recursive(self):
+        # 60 trees of 400 bootstrap rows exceed one group of trees grown together
+        rng = np.random.default_rng(8)
+        rows = np.round(rng.normal(size=(400, 2)), 1)
+        labels = np.where(rows[:, 0] + rng.normal(size=400) > 0, MEMBER, NON_MEMBER)
+        ds = toy_dataset(rows, labels, (MEAN, VARIANCE))
+        clf = train_attack_classifier(ds, trees=60, max_depth=4, seed=5)
+        forest = reference_forest(ds, 60, 4, 5)
+        for t, tree in enumerate(forest):
+            assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
+        assert np.array_equal(clf.predict(rows), reference_predict(forest, rows))
+
+    def test_three_feature_stumps_match_reference(self):
+        # f >= 3 draws per-node feature subsets in level order, so deeper
+        # trees differ from the depth-first reference, but a depth-1 tree
+        # draws once, at its root, either way
+        rng = np.random.default_rng(4)
+        ds = toy_dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30), (MEAN, VARIANCE, LATENT_MEAN))
+        clf = train_attack_classifier(ds, trees=7, max_depth=1, seed=11)
+        forest = reference_forest(ds, 7, 1, 11)
+        for t, tree in enumerate(forest):
+            assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
 
 
 class TestEvaluateMembership:
