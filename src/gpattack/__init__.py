@@ -9,8 +9,8 @@ makes the learning/security trade-off precise.
 
 __version__ = "0.1.0"
 
-from .data import Dataset, NormStats, generate_blobs, generate_two_moons, load_csv, normalize, split
-from .kernels import KernelSpec, kernel_eval, kernel_gradient_x, kernel_matrix
+from .data import Dataset, generate_blobs, generate_two_moons, load_csv, split
+from .kernels import KernelSpec, kernel_eval, kernel_matrix
 from .gp import (
     Prediction,
     RejectionPolicy,
@@ -23,8 +23,6 @@ from .gp import (
     latent_gradient,
     predict,
     predict_with_rejection,
-    predict_with_zero_rejection,
-    select_variance,
 )
 from .secure import (
     SecureClassifier,
@@ -32,7 +30,6 @@ from .secure import (
     check_identity_assumption,
     equivalence_check,
     generalization_probe,
-    secure_classify,
 )
 from .evasion import AdversarialResult, AttackConfig, curvature_comparison, cw_l2, gpfgs, gpjm
 from .extraction import (

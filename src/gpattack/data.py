@@ -1,7 +1,6 @@
-"""Synthetic dataset generation, CSV ingestion, normalization and splitting,
-plus the two rules every module shares: how a record freezes its arrays
-(`frozen_array`) and how a report file is written (`write_lines`,
-`write_json`).
+"""Synthetic dataset generation, CSV ingestion and splitting, plus the two
+rules every module shares: how a record freezes its arrays (`frozen_array`)
+and how a report file is written (`write_lines`, `write_json`).
 
 Every generator is a pure function of its arguments: the same seed always
 produces the same dataset, bit for bit. Labels are canonicalized to {-1, +1}
@@ -19,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "NormStats",
     "CsvFormatError",
     "MissingColumnError",
     "NonNumericCellError",
@@ -28,7 +26,6 @@ __all__ = [
     "generate_blobs",
     "load_csv",
     "split",
-    "normalize",
     "rows_in",
     "frozen_array",
     "write_lines",
@@ -78,7 +75,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         features = frozen_array(self.features)
@@ -91,11 +87,6 @@ class Dataset:
             raise ValueError("labels must be a vector with one entry per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != features.shape[1]:
-                raise ValueError("feature_names length must match the column count")
-            object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -109,31 +100,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx], self.feature_names)
-
-
-@dataclass(frozen=True, eq=False)
-class NormStats:
-    """Per-feature shift/scale; scale entries are strictly positive."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        shift = frozen_array(self.shift)
-        scale = frozen_array(self.scale)
-        if shift.shape != scale.shape or shift.ndim != 1:
-            raise ValueError("shift and scale must be vectors of equal length")
-        if not np.all(scale > 0):
-            raise ValueError("scale entries must be strictly positive")
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=float) - self.shift) / self.scale
-
-    def invert(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=float) * self.scale + self.shift
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 def generate_two_moons(n: int, noise: float, seed: int) -> Dataset:
@@ -203,7 +170,6 @@ def load_csv(path, label_column: str) -> Dataset:
         if label_column not in header:
             raise MissingColumnError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
 
         rows: list[list[float]] = []
         labels: list[float] = []
@@ -226,7 +192,7 @@ def load_csv(path, label_column: str) -> Dataset:
             rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), feature_names)
+    return Dataset(np.array(rows), np.array(labels))
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -243,19 +209,6 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     n_train = min(max(n_train, 1), dataset.n - 1)
     perm = np.random.default_rng(seed).permutation(dataset.n)
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
-
-
-def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:
-    """Shift/scale each feature to zero mean and unit standard deviation.
-
-    Constant columns keep scale 1 (they are common in sparse security data
-    and should not error out); they end up all-zero after the shift.
-    """
-    shift = dataset.features.mean(axis=0)
-    std = dataset.features.std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
-    stats = NormStats(shift, scale)
-    return Dataset(stats.apply(dataset.features), dataset.labels, dataset.feature_names), stats
 
 
 def rows_in(table, rows) -> np.ndarray:

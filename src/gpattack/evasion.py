@@ -26,7 +26,6 @@ from .gp import NumericalError, TrainedGP, ZeroRejection, latent_gradient, laten
 __all__ = [
     "AttackConfig",
     "AdversarialResult",
-    "training_box",
     "gpfgs",
     "gpjm",
     "cw_l2",
@@ -94,14 +93,11 @@ def _make_result(original: np.ndarray, adversarial: np.ndarray, success: bool, i
     )
 
 
-def training_box(gp: TrainedGP) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (min, max) observed in the victim's training data."""
-    return gp.train_features.min(axis=0), gp.train_features.max(axis=0)
-
-
 def _resolve_box(gp: TrainedGP, box) -> tuple[np.ndarray, np.ndarray]:
+    """The box as (min, max) vectors; None means the per-feature (min, max)
+    observed in the victim's training data."""
     if box is None:
-        return training_box(gp)
+        return gp.train_features.min(axis=0), gp.train_features.max(axis=0)
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if lo.shape != (gp.d,) or hi.shape != (gp.d,):

@@ -11,7 +11,7 @@ through `class_probability`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -39,13 +39,10 @@ __all__ = [
     "latent_mean",
     "latent_mean_batch",
     "predict_with_rejection",
-    "predict_with_zero_rejection",
     "latent_gradient",
     "grid_points",
     "decision_grid",
     "accuracy",
-    "select_variance",
-    "VARIANCE_GRID",
     "save_gp",
     "load_gp",
 ]
@@ -326,8 +323,16 @@ def latent_mean_batch(gp: TrainedGP, X) -> np.ndarray:
     return kernel_matrix(gp.spec, X, gp.train_features) @ gp.alpha
 
 
+def _query_point(x) -> np.ndarray:
+    """x as a float vector: a scalar or a matrix is not one query point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D query point")
+    return x
+
+
 def latent_mean(gp: TrainedGP, x) -> float:
-    return float(latent_mean_batch(gp, np.asarray(x, dtype=float)[None, :])[0])
+    return float(latent_mean_batch(gp, _query_point(x)[None, :])[0])
 
 
 def predict_batch(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
@@ -352,10 +357,7 @@ def predict(gp: TrainedGP, x) -> Prediction:
     The reported mean is the latent mean K_x^T alpha; for classification the
     logistic link additionally yields `class_probability`.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D query point")
-    means, variances = predict_batch(gp, x[None, :])
+    means, variances = predict_batch(gp, _query_point(x)[None, :])
     mean = float(means[0])
     prob = float(expit(mean)) if gp.mode == CLASSIFICATION else None
     return Prediction(mean=mean, variance=float(variances[0]), class_probability=prob)
@@ -367,17 +369,9 @@ def predict_with_rejection(gp: TrainedGP, x, policy: RejectionPolicy | ZeroRejec
     return int(policy.labels(latent_mean(gp, x)))
 
 
-def predict_with_zero_rejection(gp: TrainedGP, x, eps: float = 1e-3) -> int:
-    """predict_with_rejection under ZeroRejection(eps)."""
-    return predict_with_rejection(gp, x, ZeroRejection(eps))
-
-
 def latent_gradient(gp: TrainedGP, x) -> np.ndarray:
     """Gradient of the latent mean with respect to the query point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D query point")
-    grads = kernel_gradient_x_batch(gp.spec, _query_matrix(gp, x)[0], gp.train_features)
+    grads = kernel_gradient_x_batch(gp.spec, _query_matrix(gp, _query_point(x))[0], gp.train_features)
     return gp.alpha @ grads
 
 
@@ -390,9 +384,6 @@ class DecisionGrid:
     means: np.ndarray
     variances: np.ndarray
     resolution: int
-
-    def reject_count(self) -> int:
-        return int((self.labels == REJECT).sum())
 
     def write_csv(self, path):
         rows = zip(self.points, self.labels, self.means, self.variances)
@@ -449,26 +440,6 @@ def accuracy(
     rejected = np.zeros(data.n, dtype=bool) if policy is None else policy.mask(means)
     correct = ~rejected & (np.sign(means) == data.labels)
     return {"accuracy": float(correct.mean()), "reject_rate": float(rejected.mean())}
-
-
-VARIANCE_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-
-def select_variance(spec: KernelSpec, train: Dataset, validation: Dataset, grid=VARIANCE_GRID) -> float:
-    """Pick the kernel variance from a small grid by validation accuracy.
-
-    The lengthscale stays fixed (it is set before training, never
-    optimized); this is the only hyperparameter search offered. Ties break
-    toward the earlier grid entry.
-    """
-    best_acc = -1.0
-    best_variance = None
-    for variance in grid:
-        gp = fit_classification_laplace(replace(spec, variance=float(variance)), train)
-        acc = accuracy(gp, validation)["accuracy"]
-        if acc > best_acc:
-            best_acc, best_variance = acc, float(variance)
-    return best_variance
 
 
 def _to_json_dict(gp: TrainedGP) -> dict:

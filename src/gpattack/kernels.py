@@ -13,7 +13,6 @@ decision surface; long lengthscales give a flat one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "kernel_matrix",
-    "kernel_gradient_x",
     "kernel_gradient_x_batch",
     "scaled_sq_distances",
     "self_similarity",
@@ -101,13 +99,6 @@ class KernelSpec:
             offset=payload.get("offset", 1.0),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
@@ -176,11 +167,6 @@ def self_similarity(spec: KernelSpec, X) -> np.ndarray:
     if spec.family == LINEAR:
         return spec.variance * sq
     return spec.variance * (sq + spec.offset) ** spec.degree
-
-
-def kernel_gradient_x(spec: KernelSpec, x, x2) -> np.ndarray:
-    """Gradient of kernel_eval(spec, x, x2) with respect to x."""
-    return kernel_gradient_x_batch(spec, x, _as_point(x2)[None, :])[0]
 
 
 def kernel_gradient_x_batch(spec: KernelSpec, x, X) -> np.ndarray:

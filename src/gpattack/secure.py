@@ -26,7 +26,6 @@ __all__ = [
     "SecureClassifier",
     "build_secure_classifier",
     "rho_ball_radius",
-    "secure_classify",
     "check_identity_assumption",
     "equivalence_check",
     "generalization_probe",
@@ -92,24 +91,18 @@ def build_secure_classifier(anchors, labels, rho: float, spec: KernelSpec) -> Se
     return sc
 
 
-def secure_classify(sc: SecureClassifier, spec: KernelSpec, x) -> int:
-    """Label of the most similar anchor if its similarity exceeds rho, else REJECT.
-
-    The boundary is rejected (strict inequality). Ties between same-label
-    anchors are harmless; different-label ties cannot occur by construction.
-    """
-    return int(_secure_classify_batch(sc, spec, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def check_identity_assumption(anchors, spec: KernelSpec, eps: float) -> bool:
-    """True iff every off-diagonal kernel entry is below eps in magnitude."""
+def check_identity_assumption(anchors, spec: KernelSpec) -> bool:
+    """True iff every off-diagonal kernel entry is below IDENTITY_EPS in magnitude."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     K = kernel_matrix(spec, anchors, anchors)
     off = K[~np.eye(K.shape[0], dtype=bool)]
-    return bool(np.all(np.abs(off) < eps))
+    return bool(np.all(np.abs(off) < IDENTITY_EPS))
 
 
 def _secure_classify_batch(sc: SecureClassifier, spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Per row of `points`, the label of the most similar anchor if its
+    similarity exceeds rho, else REJECT (the boundary is rejected). Anchors
+    of different labels cannot tie, by construction."""
     sims = kernel_matrix(spec, points, sc.anchors)
     best = np.argmax(sims, axis=1)
     best_sim = sims[np.arange(points.shape[0]), best]
@@ -127,7 +120,7 @@ def equivalence_check(sc: SecureClassifier, gp: TrainedGP, policy: RejectionPoli
     """
     if not np.array_equal(gp.train_features, sc.anchors) or not np.array_equal(gp.train_labels, sc.labels):
         raise ValueError("the GP must be trained on the secure classifier's anchors and labels")
-    if not check_identity_assumption(sc.anchors, gp.spec, IDENTITY_EPS):
+    if not check_identity_assumption(sc.anchors, gp.spec):
         raise ValueError("identity assumption violated: some anchors are too similar")
     expected = 1.0 - sc.rho
     if abs(policy.tau0 - expected) > 1e-12 or abs(policy.tau1 - expected) > 1e-12:

@@ -11,7 +11,6 @@ from gpattack.data import (
     generate_blobs,
     generate_two_moons,
     load_csv,
-    normalize,
     split,
 )
 
@@ -105,7 +104,6 @@ class TestLoadCsv:
         ds = load_csv(path, "y")
         assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(ds.labels, [1.0, -1.0])
-        assert ds.feature_names == ("a", "b")
 
     def test_unmappable_label(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -181,32 +179,3 @@ class TestSplit:
         assert train.n >= 1 and test.n >= 1
         combined = sorted(train.features[:, 0]) + sorted(test.features[:, 0])
         assert sorted(combined) == list(range(n))
-
-
-class TestNormalize:
-    def test_two_symmetric_points(self):
-        ds = Dataset(np.array([[0.0], [2.0]]), np.array([1.0, -1.0]))
-        normed, stats = normalize(ds)
-        assert np.allclose(normed.features, [[-1.0], [1.0]])
-        assert np.array_equal(stats.shift, [1.0])
-        assert np.array_equal(stats.scale, [1.0])
-
-    def test_constant_column(self):
-        ds = Dataset(np.array([[5.0], [5.0]]), np.array([1.0, -1.0]))
-        normed, stats = normalize(ds)
-        assert np.array_equal(normed.features, [[0.0], [0.0]])
-        assert np.array_equal(stats.scale, [1.0])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        ds = Dataset(rng.normal(size=(20, 3)) * 7 + 3, np.where(rng.random(20) > 0.5, 1.0, -1.0))
-        _, stats = normalize(ds)
-        fresh = rng.normal(size=(5, 3))
-        assert np.max(np.abs(stats.invert(stats.apply(fresh)) - fresh)) < 1e-12
-
-    def test_moments(self):
-        rng = np.random.default_rng(8)
-        ds = Dataset(rng.normal(2.0, 5.0, size=(64, 4)), np.where(rng.random(64) > 0.5, 1.0, -1.0))
-        normed, _ = normalize(ds)
-        assert np.max(np.abs(normed.features.mean(axis=0))) < 1e-10
-        assert np.max(np.abs(normed.features.std(axis=0) - 1.0)) < 1e-10

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gpattack.data import Dataset, generate_two_moons, normalize
+from gpattack.data import Dataset, generate_two_moons
 from gpattack.evasion import gpfgs
 from gpattack.gp import fit_classification_laplace, fit_regression
 from gpattack.kernels import RBF, KernelSpec
@@ -21,7 +21,6 @@ def records():
     classifier = fit_classification_laplace(spec, data)
     return {
         "Dataset": data,
-        "NormStats": normalize(data)[1],
         "TrainedGP-regression": fit_regression(spec, data),
         "TrainedGP-classification": classifier,
         "MembershipDataset": MembershipDataset(np.array([[0.1], [0.2]]), np.array([1, 0]), (MEAN,)),
@@ -34,7 +33,6 @@ def records():
     "name",
     [
         "Dataset",
-        "NormStats",
         "TrainedGP-regression",
         "TrainedGP-classification",
         "MembershipDataset",

@@ -23,10 +23,7 @@ from gpattack.gp import (
     predict,
     predict_batch,
     predict_with_rejection,
-    predict_with_zero_rejection,
     save_gp,
-    select_variance,
-    VARIANCE_GRID,
 )
 from gpattack.kernels import RBF, KernelSpec, kernel_eval, kernel_matrix
 
@@ -193,6 +190,16 @@ class TestPredict:
             predict(gp, np.array([1.0]))
 
 
+class TestQueryPointShape:
+    @pytest.mark.parametrize("entry_point", [latent_mean, latent_gradient, predict], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x", [0.5, [[0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]], ids=["scalar", "1xd", "2xd"])
+    def test_only_a_vector_is_a_query_point(self, entry_point, x):
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+        gp = fit_regression(KernelSpec(RBF), ds, 1e-8)
+        with pytest.raises(ValueError, match="expected a 1-D query point"):
+            entry_point(gp, np.array(x))
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
@@ -292,16 +299,16 @@ class TestRejection:
         spec = KernelSpec(RBF)
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
         gp = fit_regression(spec, ds, 1e-8)
-        assert predict_with_zero_rejection(gp, np.array([10.0, 0.0])) == REJECT
-        assert predict_with_zero_rejection(gp, np.array([0.1, 0.0]), eps=1e-3) == 1
+        assert predict_with_rejection(gp, np.array([10.0, 0.0]), ZeroRejection()) == REJECT
+        assert predict_with_rejection(gp, np.array([0.1, 0.0]), ZeroRejection(1e-3)) == 1
 
     def test_zero_eps_only_rejects_exact_zero(self):
         ds = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
         gp = fit_regression(KernelSpec(RBF), ds, 1e-8)
-        assert predict_with_zero_rejection(gp, np.array([0.9]), eps=0.0) == 1
+        assert predict_with_rejection(gp, np.array([0.9]), ZeroRejection(0.0)) == 1
         # a zero-iteration classifier has an exactly zero latent mean
         prior = fit_classification_laplace(KernelSpec(RBF), ds, max_iter=0)
-        assert predict_with_zero_rejection(prior, np.array([0.9]), eps=0.0) == REJECT
+        assert predict_with_rejection(prior, np.array([0.9]), ZeroRejection(0.0)) == REJECT
 
 
 class TestLatentGradient:
@@ -353,7 +360,7 @@ class TestDecisionGrid:
         data = generate_two_moons(80, 0.1, 0)
         gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.15), data)
         grid = decision_grid(gp, ((-3.0, 4.0), (-3.0, 3.5)), 25, RejectionPolicy(0.5, 0.5))
-        assert grid.reject_count() > 0
+        assert (grid.labels == REJECT).sum() > 0
 
     def test_requires_2d(self):
         ds = Dataset(np.array([[0.0]]), np.array([1.0]))
@@ -399,22 +406,6 @@ class TestAccuracy:
         assert result["reject_rate"] == 0.5
         assert result["accuracy"] == 0.5
         assert accuracy(gp, mixed, ZeroRejection(1e-3)) == result
-
-
-class TestSelectVariance:
-    def test_returns_grid_member_deterministically(self):
-        data = generate_two_moons(80, 0.2, 4)
-        train, validation = split(data, 0.5, 4)
-        spec = KernelSpec(RBF, lengthscale=0.3)
-        chosen = select_variance(spec, train, validation)
-        assert chosen in VARIANCE_GRID
-        assert select_variance(spec, train, validation) == chosen
-
-    def test_custom_grid(self):
-        data = generate_blobs(40, 2, 8.0, 2)
-        train, validation = split(data, 0.5, 2)
-        chosen = select_variance(KernelSpec(RBF), train, validation, grid=(0.5, 2.0))
-        assert chosen in (0.5, 2.0)
 
 
 class TestSerialization:
