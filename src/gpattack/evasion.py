@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import frozen_array, write_lines
-from .gp import NumericalError, TrainedGP, ZeroRejection, latent_gradient, latent_mean, latent_mean_batch
+from .gp import NumericalError, TrainedGP, ZeroRejection, _LatentPoint, latent_mean, latent_mean_batch
 
 __all__ = [
     "AttackConfig",
@@ -126,8 +126,9 @@ def gpfgs(gp: TrainedGP, x, epsilon: float, box=None) -> AdversarialResult:
         raise ValueError("epsilon must be nonnegative")
     x = np.asarray(x, dtype=float)
     lo, hi = _resolve_box(gp, box)
-    label = _sign_label(latent_mean(gp, x))
-    grad = latent_gradient(gp, x)
+    at_x = _LatentPoint(gp, x)
+    label = _sign_label(at_x.mean)
+    grad = at_x.gradient()
     adversarial = np.clip(x - epsilon * label * np.sign(grad), lo, hi)
     flipped = label != 0 and _sign_label(latent_mean(gp, adversarial)) == -label
     return _make_result(x, adversarial, flipped, 1)
@@ -156,8 +157,10 @@ def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialRes
     # clipping alone may already flip the decision
     success = label != 0 and not np.array_equal(current, x) and _sign_label(latent_mean(gp, current)) == -label
     if label != 0 and not success:
+        # each round's flip check leaves the point the next round differentiates at
+        point = _LatentPoint(gp, current)
         for _ in range(min(budget, gp.d)):
-            grad = latent_gradient(gp, current)
+            grad = point.gradient()
             saliency = np.where(untouched, np.abs(grad), -1.0)
             j = int(np.argmax(saliency))
             if saliency[j] <= 0:
@@ -165,7 +168,8 @@ def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialRes
             current[j] = np.clip(current[j] - label * np.sign(grad[j]) * step, lo[j], hi[j])
             untouched[j] = False
             iterations += 1
-            if _sign_label(latent_mean(gp, current)) == -label:
+            point = _LatentPoint(gp, current)
+            if _sign_label(point.mean) == -label:
                 success = True
                 break
     return _make_result(x, current, success, iterations)
@@ -202,9 +206,10 @@ def cw_l2(gp: TrainedGP, x, config: AttackConfig, seed: int = 0) -> AdversarialR
     best_any: tuple[float, np.ndarray] | None = None
     iterations = 0
 
-    def consider(candidate: np.ndarray):
+    def consider(candidate: np.ndarray) -> _LatentPoint:
         nonlocal best_success, best_any
-        m = latent_mean(gp, candidate)
+        point = _LatentPoint(gp, candidate)
+        m = point.mean
         dist_sq = float(((candidate - x) ** 2).sum())
         objective = dist_sq + weight * max(label * m, 0)
         if not np.isfinite(objective):
@@ -214,17 +219,18 @@ def cw_l2(gp: TrainedGP, x, config: AttackConfig, seed: int = 0) -> AdversarialR
                 best_success = (dist_sq, candidate.copy())
         if best_any is None or objective < best_any[0]:
             best_any = (objective, candidate.copy())
-        return m
+        return point
 
     for restart in range(CW_RESTARTS):
         w = w0 if restart == 0 else w0 + rng.normal(0.0, 0.1, size=w0.shape)
         for _ in range(config.max_iter):
-            candidate = mid + half_range * np.tanh(w)
-            m = consider(candidate)
+            t = np.tanh(w)
+            candidate = mid + half_range * t
+            point = consider(candidate)
             grad = 2.0 * (candidate - x)
-            if label != 0 and label * m > 0:
-                grad = grad + weight * label * latent_gradient(gp, candidate)
-            w = w - config.step_size * grad * half_range * (1.0 - np.tanh(w) ** 2)
+            if label != 0 and label * point.mean > 0:
+                grad = grad + weight * label * point.gradient()
+            w = w - config.step_size * grad * half_range * (1.0 - t**2)
             iterations += 1
         consider(mid + half_range * np.tanh(w))
 

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.special import expit
 
 from .data import Dataset, frozen_array, write_json, write_lines
-from .kernels import KernelSpec, kernel_gradient_x_batch, kernel_matrix, self_similarity
+from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, kernel_matrix, self_similarity
 
 __all__ = [
     "REGRESSION",
@@ -306,16 +306,20 @@ def fit_classification_laplace(
     )
 
 
-def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
-    """X as a float matrix of query rows, checked against the model: a NaN
-    or infinite query raises instead of yielding a made-up mean."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def _checked_queries(gp: TrainedGP, X: np.ndarray) -> np.ndarray:
+    """The float matrix X of query rows, checked against the model: a NaN or
+    infinite query raises instead of yielding a made-up mean."""
     if X.shape[1] != gp.d:
         raise ValueError(f"query dimension {X.shape[1]} does not match model dimension {gp.d}")
     if not np.isfinite(X).all():
         row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         raise ValueError(f"query row {row} is not finite: {X[row].tolist()}")
     return X
+
+
+def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
+    """X as a float matrix of query rows, checked against the model."""
+    return _checked_queries(gp, np.atleast_2d(np.asarray(X, dtype=float)))
 
 
 def latent_mean_batch(gp: TrainedGP, X) -> np.ndarray:
@@ -331,8 +335,31 @@ def _query_point(x) -> np.ndarray:
     return x
 
 
+class _LatentPoint:
+    """The latent mean at one checked query point x, and its gradient on
+    demand, both from one kernel row k(x, train). The gradient reads x, so x
+    must not change while the point is in use.
+
+    The row stays 1 x n so that the mean is the same matrix-vector product
+    latent_mean_batch computes, bit for bit.
+    """
+
+    __slots__ = ("gp", "x", "k", "mean")
+
+    def __init__(self, gp: TrainedGP, x):
+        self.gp = gp
+        self.x = _query_point(x)
+        self.k = _kernel_block(gp.spec, _checked_queries(gp, self.x[None, :]), gp.train_features)
+        self.mean = float((self.k @ gp.alpha)[0])
+
+    def gradient(self) -> np.ndarray:
+        """Gradient of the latent mean with respect to x."""
+        gp = self.gp
+        return gp.alpha @ _kernel_gradient_block(gp.spec, self.x, gp.train_features, self.k[0])
+
+
 def latent_mean(gp: TrainedGP, x) -> float:
-    return float(latent_mean_batch(gp, _query_point(x)[None, :])[0])
+    return _LatentPoint(gp, x).mean
 
 
 def predict_batch(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +398,7 @@ def predict_with_rejection(gp: TrainedGP, x, policy: RejectionPolicy | ZeroRejec
 
 def latent_gradient(gp: TrainedGP, x) -> np.ndarray:
     """Gradient of the latent mean with respect to the query point."""
-    grads = kernel_gradient_x_batch(gp.spec, _query_matrix(gp, _query_point(x))[0], gp.train_features)
-    return gp.alpha @ grads
+    return _LatentPoint(gp, x).gradient()
 
 
 @dataclass(frozen=True, eq=False)

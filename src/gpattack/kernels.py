@@ -151,6 +151,12 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
         raise ValueError("point sets must be nonempty")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+    return _kernel_block(spec, A, B)
+
+
+def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """kernel_matrix without the argument checks: A and B are nonempty float
+    matrices of equal width. The one home of each family's formula."""
     if spec.family == RBF:
         return spec.variance * np.exp(-0.5 * scaled_sq_distances(spec, A, B))
     if spec.family == LINEAR:
@@ -173,11 +179,21 @@ def kernel_gradient_x_batch(spec: KernelSpec, x, X) -> np.ndarray:
     """Row i holds the gradient of k(x, X_i) with respect to x."""
     x = _as_point(x)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.size == 0:
+        raise ValueError("point sets must be nonempty")
     if X.shape[1] != x.shape[0]:
         raise ValueError(f"point dimensions differ: {x.shape[0]} vs {X.shape[1]}")
+    return _kernel_gradient_block(spec, x, X)
+
+
+def _kernel_gradient_block(spec: KernelSpec, x: np.ndarray, X: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """kernel_gradient_x_batch without the argument checks: x is a float
+    vector and X a float matrix of its width. For RBF, `k` may hold the row
+    k(x, X) already built at x, which is then not built again."""
     if spec.family == RBF:
+        if k is None:
+            k = _kernel_block(spec, x[None, :], X)[0]
         ls = spec.lengthscales(x.shape[0])
-        k = kernel_matrix(spec, x[None, :], X)[0]
         return k[:, None] * (-(x[None, :] - X) / ls**2)
     if spec.family == LINEAR:
         return spec.variance * X

@@ -1,5 +1,7 @@
 """Every batch path answers each row exactly as its single-point path does:
-latent means, predictions, oracle reads and secure-classifier decisions."""
+latent means, predictions, oracle reads and secure-classifier decisions.
+The one-point core behind latent_mean and latent_gradient matches its batch
+paths bit for bit."""
 
 import numpy as np
 import pytest
@@ -12,14 +14,16 @@ from gpattack.extraction import ModelOracle
 from gpattack.gp import (
     CLASSIFICATION,
     REGRESSION,
+    _LatentPoint,
     fit_classification_laplace,
     fit_regression,
+    latent_gradient,
     latent_mean,
     latent_mean_batch,
     predict,
     predict_batch,
 )
-from gpattack.kernels import FAMILIES, RBF, KernelSpec, kernel_matrix, self_similarity
+from gpattack.kernels import FAMILIES, RBF, KernelSpec, kernel_gradient_x_batch, kernel_matrix, self_similarity
 from gpattack.secure import SecureClassifier, _secure_classify_batch
 
 # Batch and single paths may sum in different orders, so they agree to
@@ -30,14 +34,18 @@ RTOL = 1e-10
 
 
 @st.composite
-def models_and_queries(draw):
-    """A small fitted model of any family and mode, plus a block of queries."""
+def models_and_queries(draw, per_dimension=False):
+    """A small fitted model of any family and mode, plus a block of queries.
+    With `per_dimension`, an RBF lengthscale may also be one value per
+    dimension."""
     family = draw(st.sampled_from(FAMILIES))
     mode = draw(st.sampled_from((REGRESSION, CLASSIFICATION)))
     n = draw(st.integers(2, 8))
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 6))
     lengthscale = draw(st.floats(0.2, 3.0))
+    if per_dimension and family == RBF and draw(st.booleans()):
+        lengthscale = tuple(draw(st.lists(st.floats(0.2, 3.0), min_size=d, max_size=d)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.uniform(-2.0, 2.0, size=(n, d))
     y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
@@ -91,3 +99,15 @@ def test_secure_block_matches_each_row(case, rho):
     block = _secure_classify_batch(sc, spec, queries)
     rows = [_secure_classify_batch(sc, spec, x[None, :])[0] for x in queries]
     assert block.tolist() == rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(models_and_queries(per_dimension=True))
+def test_latent_point_equals_batch_paths(case):
+    gp, queries = case
+    for x in queries:
+        point = _LatentPoint(gp, x)
+        gradient = gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.train_features)
+        assert point.mean == latent_mean_batch(gp, x[None])[0] == latent_mean(gp, x)
+        assert np.array_equal(point.gradient(), gradient)
+        assert np.array_equal(latent_gradient(gp, x), gradient)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,3 +286,20 @@ class TestAttackProperties:
         config = AttackConfig(max_iter=max_iter, step_size=0.1, box=box)
         for result in (gpfgs(gp, x, epsilon, box), gpjm(gp, x, budget, step, box), cw_l2(gp, x, config)):
             assert_attack_invariants(gp, box, result)
+
+
+ATTACKS = {
+    "gpfgs": lambda gp, x: gpfgs(gp, x, 0.3),
+    "gpjm": lambda gp, x: gpjm(gp, x, 2, 0.3),
+    "cw_l2": lambda gp, x: cw_l2(gp, x, AttackConfig(max_iter=5)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+def test_attacks_refuse_a_non_finite_point(attack, bad):
+    ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+    gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.5), ds)
+    x = np.array([0.5, bad])
+    with pytest.raises(ValueError, match=re.escape(f"query row 0 is not finite: {x.tolist()}")):
+        ATTACKS[attack](gp, x)

@@ -1,9 +1,10 @@
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from gpattack import extraction
+from gpattack import cli, extraction
 from gpattack.data import Dataset, generate_blobs, generate_two_moons, split
 from gpattack.extraction import (
     DATA_KNOWN_PER_DIM,
@@ -233,6 +234,37 @@ class TestLengthscaleExtraction:
             )
             assert abs(report.estimate - true_l) / true_l < 1e-6
             assert report.queries_used == 2
+
+    # Two known defects of the analytic recovery on the benchmark's extract
+    # config (two moons, n = 400, noise 0.2). Strict: a fix must flip them.
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(
+                140,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="no sign change over the scan: BracketingError, extract exits 1",
+                ),
+            ),
+            pytest.param(
+                7014,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="both residuals cross zero twice in one scan interval: 0.249956 against 0.2",
+                ),
+            ),
+        ],
+    )
+    def test_cli_extract_recovers_the_lengthscale(self, seed, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": {"generator": "two_moons", "n": 400, "noise": 0.2}, "seed": seed}))
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--config", str(config), "--out", str(out)]) == 0
+        lengthscale = json.loads((out / "extraction.json").read_text())["lengthscale"]
+        assert abs(lengthscale["estimate"] - lengthscale["true"]) / lengthscale["true"] < 1e-6
 
 
 class TestTrainingDataRecovery:
