@@ -22,7 +22,6 @@ from .gp import (
     fit_regression,
     latent_gradient,
     predict,
-    predict_with_rejection,
 )
 from .secure import (
     SecureClassifier,

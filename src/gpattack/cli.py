@@ -38,9 +38,9 @@ from .data import Dataset, generate_blobs, generate_two_moons, load_csv, split, 
 from .evasion import (
     AttackConfig,
     curvature_comparison,
-    cw_l2,
-    gpfgs,
-    gpjm,
+    cw_l2_batch,
+    gpfgs_batch,
+    gpjm_batch,
     write_attack_sets_csv,
 )
 from .extraction import (
@@ -328,9 +328,9 @@ def _cmd_evade(cfg: ExperimentConfig, out: Path) -> list[Path]:
         confidence=atk["cw_confidence"],
     )
     sets = {
-        "gpfgs": [gpfgs(short, x, atk["epsilon"]) for x in points],
-        "gpjm": [gpjm(short, x, int(atk["jsma_budget"]), atk["jsma_step"]) for x in points],
-        "cw_l2": [cw_l2(short, x, cw_config, seed=cfg.seed) for x in points],
+        "gpfgs": gpfgs_batch(short, points, atk["epsilon"]),
+        "gpjm": gpjm_batch(short, points, int(atk["jsma_budget"]), atk["jsma_step"]),
+        "cw_l2": cw_l2_batch(short, points, cw_config, seed=cfg.seed),
     }
     strengths = {
         "gpfgs": atk["epsilon"],

@@ -8,6 +8,9 @@ Three attackers are provided, covering the usual perturbation metrics:
   (Carlini-Wagner style), which keeps candidates inside the box by
   construction.
 
+Each attack runs on a block of points (`gpfgs_batch`, `gpjm_batch`,
+`cw_l2_batch`); every row gets the result its one-point form gives, bit for bit.
+
 All attacks run white-box against the attacked model's latent mean; the
 resulting AdversarialResult objects can be replayed unchanged against other
 victims for transfer comparisons.
@@ -21,14 +24,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import frozen_array, write_lines
-from .gp import NumericalError, TrainedGP, ZeroRejection, _LatentPoint, latent_mean, latent_mean_batch
+from .gp import NumericalError, TrainedGP, ZeroRejection, latent_mean_batch
+from .gp import _latent_gradients, _latent_rows, _query_matrix, _query_row
 
 __all__ = [
     "AttackConfig",
     "AdversarialResult",
     "gpfgs",
+    "gpfgs_batch",
     "gpjm",
+    "gpjm_batch",
     "cw_l2",
+    "cw_l2_batch",
     "adversarial_accuracy",
     "curvature_comparison",
     "write_attack_sets_csv",
@@ -107,16 +114,8 @@ def _resolve_box(gp: TrainedGP, box) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sign_label(value: float) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def gpfgs(gp: TrainedGP, x, epsilon: float, box=None) -> AdversarialResult:
-    """One-step signed-gradient attack on the latent mean.
+def gpfgs_batch(gp: TrainedGP, X, epsilon: float, box=None) -> list[AdversarialResult]:
+    """One-step signed-gradient attack on the latent mean, at every row of X.
 
     Moves every feature by epsilon against the model's current decision,
     then clips to the box. A zero gradient yields a zero delta and
@@ -124,18 +123,17 @@ def gpfgs(gp: TrainedGP, x, epsilon: float, box=None) -> AdversarialResult:
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    X = _query_matrix(gp, X)
     lo, hi = _resolve_box(gp, box)
-    at_x = _LatentPoint(gp, x)
-    label = _sign_label(at_x.mean)
-    grad = at_x.gradient()
-    adversarial = np.clip(x - epsilon * label * np.sign(grad), lo, hi)
-    flipped = label != 0 and _sign_label(latent_mean(gp, adversarial)) == -label
-    return _make_result(x, adversarial, flipped, 1)
+    k, means = _latent_rows(gp, X)
+    labels = np.sign(means)
+    adversarial = np.clip(X - epsilon * labels[:, None] * np.sign(_latent_gradients(gp, X, k)), lo, hi)
+    flipped = (labels != 0) & (np.sign(_latent_rows(gp, adversarial)[1]) == -labels)
+    return [_make_result(x, adv, success, 1) for x, adv, success in zip(X, adversarial, flipped)]
 
 
-def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialResult:
-    """Greedy saliency attack: change at most `budget` distinct features.
+def gpjm_batch(gp: TrainedGP, X, budget: int, step: float, box=None) -> list[AdversarialResult]:
+    """Greedy saliency attack on each row x of X: change at most `budget` features.
 
     The attack starts from x clipped into the box, as cw_l2 does; features
     that clipping moves count in the result's l0 but not against `budget`.
@@ -148,35 +146,35 @@ def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialRes
         raise ValueError("budget must be at least 1")
     if not step > 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
+    X = _query_matrix(gp, X)
     lo, hi = _resolve_box(gp, box)
-    label = _sign_label(latent_mean(gp, x))
-    current = np.clip(x, lo, hi)
-    untouched = np.ones(gp.d, dtype=bool)
-    iterations = 0
-    # clipping alone may already flip the decision
-    success = label != 0 and not np.array_equal(current, x) and _sign_label(latent_mean(gp, current)) == -label
-    if label != 0 and not success:
-        # each round's flip check leaves the point the next round differentiates at
-        point = _LatentPoint(gp, current)
-        for _ in range(min(budget, gp.d)):
-            grad = point.gradient()
-            saliency = np.where(untouched, np.abs(grad), -1.0)
-            j = int(np.argmax(saliency))
-            if saliency[j] <= 0:
-                break
-            current[j] = np.clip(current[j] - label * np.sign(grad[j]) * step, lo[j], hi[j])
-            untouched[j] = False
-            iterations += 1
-            point = _LatentPoint(gp, current)
-            if _sign_label(point.mean) == -label:
-                success = True
-                break
-    return _make_result(x, current, success, iterations)
+    labels = np.sign(_latent_rows(gp, X)[1])
+    current = np.clip(X, lo, hi)
+    # each round's flip check leaves the block the next round differentiates at
+    k, means = _latent_rows(gp, current)
+    # a row stays active until its decision flips; clipping alone may flip it
+    active = (labels != 0) & (np.sign(means) != -labels)
+    untouched = np.ones(current.shape, dtype=bool)
+    iterations = np.zeros(len(X), dtype=int)
+    for _ in range(min(budget, gp.d)):
+        rows = np.flatnonzero(active)
+        grads = _latent_gradients(gp, current[rows], k[rows])
+        saliency = np.where(untouched[rows], np.abs(grads), -1.0)
+        j = np.argmax(saliency, axis=1)
+        moved = saliency[np.arange(rows.size), j] > 0
+        active[rows[~moved]] = False
+        rows, j, grad = rows[moved], j[moved], grads[moved, j[moved]]
+        current[rows, j] = np.clip(current[rows, j] - labels[rows] * np.sign(grad) * step, lo[j], hi[j])
+        untouched[rows, j] = False
+        iterations[rows] += 1
+        k[rows], means[rows] = _latent_rows(gp, current[rows])
+        active[rows] = np.sign(means[rows]) != -labels[rows]
+    success = (labels != 0) & (np.sign(means) == -labels)
+    return [_make_result(*row) for row in zip(X, current, success, iterations)]
 
 
-def cw_l2(gp: TrainedGP, x, config: AttackConfig, seed: int = 0) -> AdversarialResult:
-    """L2-minimizing attack in the tanh reparameterization.
+def cw_l2_batch(gp: TrainedGP, X, config: AttackConfig, seed: int = 0) -> list[AdversarialResult]:
+    """L2-minimizing attack in the tanh reparameterization, at every row of X.
 
     Candidates are box_min + (box_max - box_min) * (tanh(w) + 1) / 2, so the
     box constraint holds by construction. Plain gradient descent minimizes
@@ -186,57 +184,79 @@ def cw_l2(gp: TrainedGP, x, config: AttackConfig, seed: int = 0) -> AdversarialR
     (a zero margin: the misclassification term vanishes once the sign
     flips) for `config.max_iter` steps from the original point and from two
     initializations jittered with `seed`. Returns the successful candidate
-    closest to x in L2, or the lowest objective seen with success=False.
+    closest to x in L2, or the lowest objective seen with success=False;
+    ties go to the earlier restart and step.
+
+    The P points and CW_RESTARTS restarts run as one block, row restart * P
+    + point. Each restart's jitter is drawn once from default_rng(seed) and
+    shared by every point. A non-finite objective raises NumericalError with
+    the step at which it appeared.
     """
-    x = np.asarray(x, dtype=float)
+    X = _query_matrix(gp, X)
     lo, hi = _resolve_box(gp, config.box)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("cw_l2 requires finite box bounds for every feature")
     half_range = (hi - lo) / 2.0
     mid = (hi + lo) / 2.0
-    label = _sign_label(latent_mean(gp, x))
     weight = config.confidence
-    rng = np.random.default_rng(seed)
 
     span = np.where(half_range > 0, half_range, 1.0)
-    t0 = np.clip((np.clip(x, lo, hi) - mid) / span, -1.0 + 1e-12, 1.0 - 1e-12)
-    w0 = np.arctanh(t0)
+    w0 = np.arctanh(np.clip((np.clip(X, lo, hi) - mid) / span, -1.0 + 1e-12, 1.0 - 1e-12))
+    jitter = np.random.default_rng(seed).normal(0.0, 0.1, size=(CW_RESTARTS - 1, 1, gp.d))
+    w = np.concatenate([w0, *(w0 + jitter)])
+    origins = np.tile(X, (CW_RESTARTS, 1))
+    labels = np.tile(np.sign(_latent_rows(gp, X)[1]), CW_RESTARTS)
 
-    best_success: tuple[float, np.ndarray] | None = None
-    best_any: tuple[float, np.ndarray] | None = None
-    iterations = 0
+    # per row, the first minimum of the success distance and of the objective
+    best_dist, best_objective = np.full((2, len(w)), np.inf)
+    best_success, best_any = np.zeros((2, *w.shape))
 
-    def consider(candidate: np.ndarray) -> _LatentPoint:
-        nonlocal best_success, best_any
-        point = _LatentPoint(gp, candidate)
-        m = point.mean
-        dist_sq = float(((candidate - x) ** 2).sum())
-        objective = dist_sq + weight * max(label * m, 0)
-        if not np.isfinite(objective):
-            raise NumericalError(iterations, "non-finite attack objective")
-        if label != 0 and _sign_label(m) == -label:
-            if best_success is None or dist_sq < best_success[0]:
-                best_success = (dist_sq, candidate.copy())
-        if best_any is None or objective < best_any[0]:
-            best_any = (objective, candidate.copy())
-        return point
+    def consider(candidate: np.ndarray, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        k, means = _latent_rows(gp, candidate)
+        dist_sq = ((candidate - origins) ** 2).sum(axis=1)
+        objective = dist_sq + weight * np.maximum(labels * means, 0)
+        if not np.isfinite(objective).all():
+            raise NumericalError(iteration, "non-finite attack objective")
+        better = (labels != 0) & (np.sign(means) == -labels) & (dist_sq < best_dist)
+        best_dist[better] = dist_sq[better]
+        best_success[better] = candidate[better]
+        better = objective < best_objective
+        best_objective[better] = objective[better]
+        best_any[better] = candidate[better]
+        return k, means
 
-    for restart in range(CW_RESTARTS):
-        w = w0 if restart == 0 else w0 + rng.normal(0.0, 0.1, size=w0.shape)
-        for _ in range(config.max_iter):
-            t = np.tanh(w)
-            candidate = mid + half_range * t
-            point = consider(candidate)
-            grad = 2.0 * (candidate - x)
-            if label != 0 and label * point.mean > 0:
-                grad = grad + weight * label * point.gradient()
-            w = w - config.step_size * grad * half_range * (1.0 - t**2)
-            iterations += 1
-        consider(mid + half_range * np.tanh(w))
+    for iteration in range(config.max_iter):
+        t = np.tanh(w)
+        candidate = mid + half_range * t
+        k, means = consider(candidate, iteration)
+        grad = 2.0 * (candidate - origins)
+        pull = labels * means > 0
+        if pull.any():
+            grad[pull] = grad[pull] + (weight * labels[pull])[:, None] * _latent_gradients(gp, candidate[pull], k[pull])
+        w = w - config.step_size * grad * half_range * (1.0 - t**2)
+    consider(mid + half_range * np.tanh(w), config.max_iter)
 
-    if best_success is not None:
-        return _make_result(x, best_success[1], True, iterations)
-    return _make_result(x, best_any[1], False, iterations)
+    # merge the restarts in restart order: argmin keeps the first minimum
+    success = np.isfinite(best_dist.reshape(CW_RESTARTS, -1)).any(axis=0)
+    key = np.where(np.tile(success, CW_RESTARTS), best_dist, best_objective).reshape(CW_RESTARTS, -1)
+    rows = key.argmin(axis=0) * len(X) + np.arange(len(X))
+    adversarial = np.where(success[:, None], best_success[rows], best_any[rows])
+    return [_make_result(x, adv, ok, CW_RESTARTS * config.max_iter) for x, adv, ok in zip(X, adversarial, success)]
+
+
+def gpfgs(gp: TrainedGP, x, epsilon: float, box=None) -> AdversarialResult:
+    """gpfgs_batch at the one point x."""
+    return gpfgs_batch(gp, _query_row(x), epsilon, box)[0]
+
+
+def gpjm(gp: TrainedGP, x, budget: int, step: float, box=None) -> AdversarialResult:
+    """gpjm_batch at the one point x."""
+    return gpjm_batch(gp, _query_row(x), budget, step, box)[0]
+
+
+def cw_l2(gp: TrainedGP, x, config: AttackConfig, seed: int = 0) -> AdversarialResult:
+    """cw_l2_batch at the one point x."""
+    return cw_l2_batch(gp, _query_row(x), config, seed)[0]
 
 
 def adversarial_accuracy(

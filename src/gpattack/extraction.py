@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, linear_sum_assignment
 
 from .data import Dataset, rows_in, write_lines
 from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
@@ -281,6 +280,7 @@ def recover_training_data_analytic(
     permutation-ambiguous within a label class; use `match_points` to align
     them with a reference.
     """
+    from scipy.optimize import least_squares  # imported here: large, and only extract uses it
     minimum = query_complexity(LENGTHSCALE_KNOWN_PER_DIM, n, d).queries
     if query_budget < minimum:
         raise ValueError(
@@ -366,6 +366,7 @@ def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     points reordered to line up with `reference`, plus per-row Euclidean
     distances.
     """
+    from scipy.optimize import linear_sum_assignment
     recovered = np.asarray(recovered, dtype=float)
     reference = np.asarray(reference, dtype=float)
     labels = np.asarray(labels, dtype=float)

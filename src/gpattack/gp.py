@@ -38,7 +38,6 @@ __all__ = [
     "predict_batch",
     "latent_mean",
     "latent_mean_batch",
-    "predict_with_rejection",
     "latent_gradient",
     "grid_points",
     "decision_grid",
@@ -87,9 +86,6 @@ class _Rejection:
         otherwise."""
         means = np.asarray(means, dtype=float)
         return np.where(self.mask(means), REJECT, np.where(means > 0, 1, -1))
-
-    def rejects(self, mean: float) -> bool:
-        return bool(self.mask(mean))
 
 
 @dataclass(frozen=True)
@@ -306,9 +302,10 @@ def fit_classification_laplace(
     )
 
 
-def _checked_queries(gp: TrainedGP, X: np.ndarray) -> np.ndarray:
-    """The float matrix X of query rows, checked against the model: a NaN or
+def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
+    """X as a float matrix of query rows, checked against the model: a NaN or
     infinite query raises instead of yielding a made-up mean."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != gp.d:
         raise ValueError(f"query dimension {X.shape[1]} does not match model dimension {gp.d}")
     if not np.isfinite(X).all():
@@ -317,49 +314,36 @@ def _checked_queries(gp: TrainedGP, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
-    """X as a float matrix of query rows, checked against the model."""
-    return _checked_queries(gp, np.atleast_2d(np.asarray(X, dtype=float)))
-
-
 def latent_mean_batch(gp: TrainedGP, X) -> np.ndarray:
     X = _query_matrix(gp, X)
     return kernel_matrix(gp.spec, X, gp.train_features) @ gp.alpha
 
 
-def _query_point(x) -> np.ndarray:
-    """x as a float vector: a scalar or a matrix is not one query point."""
+def _query_row(x) -> np.ndarray:
+    """x as a 1 x d float matrix: a scalar or a matrix is not one query point."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-D query point")
-    return x
+    return x[None, :]
 
 
-class _LatentPoint:
-    """The latent mean at one checked query point x, and its gradient on
-    demand, both from one kernel row k(x, train). The gradient reads x, so x
-    must not change while the point is in use.
+def _latent_rows(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel block k(X, train) at the query rows X, which it checks, and
+    the latent means there. Each mean is its own 1 x n matrix-vector product, so
+    row i equals latent_mean_batch(gp, X[i:i + 1])[0] bit for bit; one
+    (R, n) product would round differently."""
+    k = _kernel_block(gp.spec, _query_matrix(gp, X), gp.train_features, rowwise=True)
+    return k, np.matmul(k[:, None, :], gp.alpha)[:, 0]
 
-    The row stays 1 x n so that the mean is the same matrix-vector product
-    latent_mean_batch computes, bit for bit.
-    """
 
-    __slots__ = ("gp", "x", "k", "mean")
-
-    def __init__(self, gp: TrainedGP, x):
-        self.gp = gp
-        self.x = _query_point(x)
-        self.k = _kernel_block(gp.spec, _checked_queries(gp, self.x[None, :]), gp.train_features)
-        self.mean = float((self.k @ gp.alpha)[0])
-
-    def gradient(self) -> np.ndarray:
-        """Gradient of the latent mean with respect to x."""
-        gp = self.gp
-        return gp.alpha @ _kernel_gradient_block(gp.spec, self.x, gp.train_features, self.k[0])
+def _latent_gradients(gp: TrainedGP, X: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """Latent-mean gradients at the checked float query rows X, each its own
+    matrix-vector product as for one row alone. `k` may hold k(X, train)."""
+    return np.matmul(gp.alpha, _kernel_gradient_block(gp.spec, X, gp.train_features, k))
 
 
 def latent_mean(gp: TrainedGP, x) -> float:
-    return _LatentPoint(gp, x).mean
+    return float(_latent_rows(gp, _query_row(x))[1][0])
 
 
 def predict_batch(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
@@ -384,21 +368,15 @@ def predict(gp: TrainedGP, x) -> Prediction:
     The reported mean is the latent mean K_x^T alpha; for classification the
     logistic link additionally yields `class_probability`.
     """
-    means, variances = predict_batch(gp, _query_point(x)[None, :])
+    means, variances = predict_batch(gp, _query_row(x))
     mean = float(means[0])
     prob = float(expit(mean)) if gp.mode == CLASSIFICATION else None
     return Prediction(mean=mean, variance=float(variances[0]), class_probability=prob)
 
 
-def predict_with_rejection(gp: TrainedGP, x, policy: RejectionPolicy | ZeroRejection) -> int:
-    """+1/-1 by the sign of the latent mean, or REJECT (0) where `policy`
-    rejects it."""
-    return int(policy.labels(latent_mean(gp, x)))
-
-
 def latent_gradient(gp: TrainedGP, x) -> np.ndarray:
     """Gradient of the latent mean with respect to the query point."""
-    return _LatentPoint(gp, x).gradient()
+    return _latent_gradients(gp, _query_matrix(gp, _query_row(x)))[0]
 
 
 @dataclass(frozen=True, eq=False)

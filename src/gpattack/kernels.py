@@ -145,23 +145,31 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     Self-covariance (A is B) is exactly symmetric because squared
     differences are computed pairwise.
     """
+    return _kernel_block(spec, *_point_sets(A, B))
+
+
+def _point_sets(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as nonempty float matrices of equal width."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.size == 0 or B.size == 0:
         raise ValueError("point sets must be nonempty")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    return _kernel_block(spec, A, B)
+    return A, B
 
 
-def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """kernel_matrix without the argument checks: A and B are nonempty float
-    matrices of equal width. The one home of each family's formula."""
+def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    """kernel_matrix without the argument checks: A and B are float matrices
+    of equal width. The one home of each family's formula. With `rowwise`,
+    row i is bit for bit the block of A[i:i + 1] alone: one matrix-vector
+    product per row, since a matrix product over all of A rounds otherwise."""
     if spec.family == RBF:
         return spec.variance * np.exp(-0.5 * scaled_sq_distances(spec, A, B))
+    dot = np.matmul(A[:, None, :], B.T)[:, 0] if rowwise else A @ B.T
     if spec.family == LINEAR:
-        return spec.variance * (A @ B.T)
-    return spec.variance * (A @ B.T + spec.offset) ** spec.degree
+        return spec.variance * dot
+    return spec.variance * (dot + spec.offset) ** spec.degree
 
 
 def self_similarity(spec: KernelSpec, X) -> np.ndarray:
@@ -177,25 +185,19 @@ def self_similarity(spec: KernelSpec, X) -> np.ndarray:
 
 def kernel_gradient_x_batch(spec: KernelSpec, x, X) -> np.ndarray:
     """Row i holds the gradient of k(x, X_i) with respect to x."""
-    x = _as_point(x)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.size == 0:
-        raise ValueError("point sets must be nonempty")
-    if X.shape[1] != x.shape[0]:
-        raise ValueError(f"point dimensions differ: {x.shape[0]} vs {X.shape[1]}")
-    return _kernel_gradient_block(spec, x, X)
+    return _kernel_gradient_block(spec, *_point_sets(_as_point(x), X))[0]
 
 
-def _kernel_gradient_block(spec: KernelSpec, x: np.ndarray, X: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
-    """kernel_gradient_x_batch without the argument checks: x is a float
-    vector and X a float matrix of its width. For RBF, `k` may hold the row
-    k(x, X) already built at x, which is then not built again."""
+def _kernel_gradient_block(spec: KernelSpec, Q: np.ndarray, X: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """kernel_gradient_x_batch at every row of Q, without the argument checks
+    (Q and X are float matrices of equal width); slice i is bit for bit the
+    block at Q[i] alone. For RBF, `k` may hold k(Q, X), then not built again."""
     if spec.family == RBF:
         if k is None:
-            k = _kernel_block(spec, x[None, :], X)[0]
-        ls = spec.lengthscales(x.shape[0])
-        return k[:, None] * (-(x[None, :] - X) / ls**2)
+            k = _kernel_block(spec, Q, X)
+        ls = spec.lengthscales(Q.shape[1])
+        return k[:, :, None] * (-(Q[:, None, :] - X) / ls**2)
     if spec.family == LINEAR:
-        return spec.variance * X
-    base = X @ x + spec.offset
-    return spec.variance * spec.degree * (base ** (spec.degree - 1))[:, None] * X
+        return spec.variance * np.broadcast_to(X, (len(Q), *X.shape))
+    base = np.matmul(X, Q[:, :, None])[:, :, 0] + spec.offset
+    return spec.variance * spec.degree * (base ** (spec.degree - 1))[:, :, None] * X

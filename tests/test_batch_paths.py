@@ -1,7 +1,8 @@
 """Every batch path answers each row exactly as its single-point path does:
 latent means, predictions, oracle reads and secure-classifier decisions.
-The one-point core behind latent_mean and latent_gradient matches its batch
-paths bit for bit."""
+The row-block core behind latent_mean, latent_gradient and the attacks
+matches the one-point paths bit for bit, and each attack block matches its
+one-point call and a one-point loop reference bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,22 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from gpattack.data import Dataset
+from gpattack.evasion import (
+    CW_RESTARTS,
+    AttackConfig,
+    cw_l2,
+    cw_l2_batch,
+    gpfgs,
+    gpfgs_batch,
+    gpjm,
+    gpjm_batch,
+)
 from gpattack.extraction import ModelOracle
 from gpattack.gp import (
     CLASSIFICATION,
     REGRESSION,
-    _LatentPoint,
+    _latent_gradients,
+    _latent_rows,
     fit_classification_laplace,
     fit_regression,
     latent_gradient,
@@ -103,11 +115,154 @@ def test_secure_block_matches_each_row(case, rho):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(models_and_queries(per_dimension=True))
-def test_latent_point_equals_batch_paths(case):
+def test_latent_rows_equal_batch_paths(case):
     gp, queries = case
-    for x in queries:
-        point = _LatentPoint(gp, x)
-        gradient = gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.train_features)
-        assert point.mean == latent_mean_batch(gp, x[None])[0] == latent_mean(gp, x)
-        assert np.array_equal(point.gradient(), gradient)
-        assert np.array_equal(latent_gradient(gp, x), gradient)
+    k, means = _latent_rows(gp, queries)
+    gradients = _latent_gradients(gp, queries, k)
+    for x, mean, gradient in zip(queries, means, gradients):
+        expected = gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.train_features)
+        assert mean == latent_mean_batch(gp, x[None])[0] == latent_mean(gp, x)
+        assert np.array_equal(gradient, expected)
+        assert np.array_equal(latent_gradient(gp, x), expected)
+
+
+def sign(value):
+    return 1 if value > 0 else -1 if value < 0 else 0
+
+
+def one_mean(gp, x):
+    return float(latent_mean_batch(gp, x[None])[0])
+
+
+def one_gradient(gp, x):
+    return gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.train_features)
+
+
+# Loop references for the three attacks: one point at a time, cw_l2's restarts
+# one after another, each step through the one-point mean and gradient. Each
+# returns (adversarial, success, iterations_used).
+
+
+def reference_gpfgs(gp, x, epsilon, lo, hi):
+    label = sign(one_mean(gp, x))
+    adversarial = np.clip(x - epsilon * label * np.sign(one_gradient(gp, x)), lo, hi)
+    return adversarial, label != 0 and sign(one_mean(gp, adversarial)) == -label, 1
+
+
+def reference_gpjm(gp, x, budget, step, lo, hi):
+    label = sign(one_mean(gp, x))
+    current = np.clip(x, lo, hi)
+    untouched = np.ones(gp.d, dtype=bool)
+    iterations = 0
+    success = label != 0 and not np.array_equal(current, x) and sign(one_mean(gp, current)) == -label
+    if label != 0 and not success:
+        for _ in range(min(budget, gp.d)):
+            grad = one_gradient(gp, current)
+            saliency = np.where(untouched, np.abs(grad), -1.0)
+            j = int(np.argmax(saliency))
+            if saliency[j] <= 0:
+                break
+            current[j] = np.clip(current[j] - label * np.sign(grad[j]) * step, lo[j], hi[j])
+            untouched[j] = False
+            iterations += 1
+            if sign(one_mean(gp, current)) == -label:
+                success = True
+                break
+    return current, success, iterations
+
+
+def reference_cw_l2(gp, x, config, seed, lo, hi):
+    half_range = (hi - lo) / 2.0
+    mid = (hi + lo) / 2.0
+    label = sign(one_mean(gp, x))
+    rng = np.random.default_rng(seed)
+    span = np.where(half_range > 0, half_range, 1.0)
+    w0 = np.arctanh(np.clip((np.clip(x, lo, hi) - mid) / span, -1.0 + 1e-12, 1.0 - 1e-12))
+    best_success = best_any = None
+
+    def consider(candidate):
+        nonlocal best_success, best_any
+        m = one_mean(gp, candidate)
+        dist_sq = float(((candidate - x) ** 2).sum())
+        objective = dist_sq + config.confidence * max(label * m, 0)
+        if label != 0 and sign(m) == -label and (best_success is None or dist_sq < best_success[0]):
+            best_success = (dist_sq, candidate)
+        if best_any is None or objective < best_any[0]:
+            best_any = (objective, candidate)
+        return m
+
+    for restart in range(CW_RESTARTS):
+        w = w0 if restart == 0 else w0 + rng.normal(0.0, 0.1, size=w0.shape)
+        for _ in range(config.max_iter):
+            t = np.tanh(w)
+            candidate = mid + half_range * t
+            m = consider(candidate)
+            grad = 2.0 * (candidate - x)
+            if label != 0 and label * m > 0:
+                grad = grad + config.confidence * label * one_gradient(gp, candidate)
+            w = w - config.step_size * grad * half_range * (1.0 - t**2)
+        consider(mid + half_range * np.tanh(w))
+    iterations = CW_RESTARTS * config.max_iter
+    return (best_success[1], True, iterations) if best_success else (best_any[1], False, iterations)
+
+
+def assert_same_result(result, other):
+    assert result.original.tobytes() == other.original.tobytes()
+    assert result.adversarial.tobytes() == other.adversarial.tobytes()
+    assert result.success == other.success
+    assert result.norms == other.norms
+    assert result.iterations_used == other.iterations_used
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    models_and_queries(per_dimension=True),
+    st.floats(0.0, 2.0),
+    st.integers(1, 4),
+    st.floats(0.01, 2.0),
+    st.integers(1, 6),
+    st.floats(0.001, 0.5),
+    st.floats(0.0, 10.0),
+    st.integers(0, 5),
+)
+def test_attack_rows_equal_one_point_attacks(case, epsilon, budget, step, max_iter, step_size, confidence, seed):
+    # queries reach past the training data, so the default box clips some
+    gp, queries = case
+    lo, hi = gp.train_features.min(axis=0), gp.train_features.max(axis=0)
+    config = AttackConfig(max_iter=max_iter, step_size=step_size, confidence=confidence)
+    attacks = [
+        (
+            gpfgs_batch(gp, queries, epsilon),
+            lambda x: gpfgs(gp, x, epsilon),
+            lambda x: reference_gpfgs(gp, x, epsilon, lo, hi),
+        ),
+        (
+            gpjm_batch(gp, queries, budget, step),
+            lambda x: gpjm(gp, x, budget, step),
+            lambda x: reference_gpjm(gp, x, budget, step, lo, hi),
+        ),
+        (
+            cw_l2_batch(gp, queries, config, seed),
+            lambda x: cw_l2(gp, x, config, seed),
+            lambda x: reference_cw_l2(gp, x, config, seed, lo, hi),
+        ),
+    ]
+    for block, one_point, reference in attacks:
+        assert len(block) == len(queries)
+        for x, row in zip(queries, block):
+            assert_same_result(row, one_point(x))
+            adversarial, success, iterations = reference(x)
+            assert row.adversarial.tobytes() == adversarial.tobytes()
+            assert (row.success, row.iterations_used) == (success, iterations)
+
+
+def test_attack_blocks_name_the_non_finite_row():
+    gp = fit_classification_laplace(KernelSpec(RBF), Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0])))
+    X = np.array([[0.2], [0.4], [np.inf]])
+    for attack in (
+        lambda: gpfgs_batch(gp, X, 0.1),
+        lambda: gpjm_batch(gp, X, 1, 0.1),
+        lambda: cw_l2_batch(gp, X, AttackConfig(max_iter=2)),
+    ):
+        with pytest.raises(ValueError, match="query row 2 is not finite"):
+            attack()

@@ -22,7 +22,6 @@ from gpattack.gp import (
     load_gp,
     predict,
     predict_batch,
-    predict_with_rejection,
     save_gp,
 )
 from gpattack.kernels import RBF, KernelSpec, kernel_eval, kernel_matrix
@@ -235,11 +234,11 @@ class TestNonFiniteQueries:
 class TestRejection:
     def test_policy_arithmetic(self):
         policy = RejectionPolicy(0.3, 0.3)
-        assert policy.rejects(0.0)
-        assert not policy.rejects(0.8)  # 0.8 > 0.7
-        assert policy.rejects(0.65)  # 0.65 <= 0.7
-        assert policy.rejects(0.7)  # boundary included
-        assert not policy.rejects(-0.9)
+        assert policy.mask(0.0)
+        assert not policy.mask(0.8)  # 0.8 > 0.7
+        assert policy.mask(0.65)  # 0.65 <= 0.7
+        assert policy.mask(0.7)  # boundary included
+        assert not policy.mask(-0.9)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -256,9 +255,8 @@ class TestRejection:
         policy = RejectionPolicy(0.3, 0.3)
         x_high = np.array([np.sqrt(-2.0 * np.log(0.8)), 0.0])  # mean ~ 0.8
         x_mid = np.array([np.sqrt(-2.0 * np.log(0.65)), 0.0])  # mean ~ 0.65
-        assert predict_with_rejection(gp, x_high, policy) == 1
-        assert predict_with_rejection(gp, x_mid, policy) == REJECT
-        assert predict_with_rejection(gp, np.array([50.0, 0.0]), policy) == REJECT
+        means = latent_mean_batch(gp, np.array([x_high, x_mid, [50.0, 0.0]]))
+        assert policy.labels(means).tolist() == [1, REJECT, REJECT]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -271,8 +269,8 @@ class TestRejection:
     def test_band_grows_as_thresholds_shrink(self, mean, tau0, tau1, shrink0, shrink1):
         # smaller taus (equivalently a larger rho) only ever widen the band
         wide = RejectionPolicy(tau0 * (1 - shrink0), tau1 * (1 - shrink1))
-        if RejectionPolicy(tau0, tau1).rejects(mean):
-            assert wide.rejects(mean)
+        if RejectionPolicy(tau0, tau1).mask(mean):
+            assert wide.mask(mean)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -293,22 +291,22 @@ class TestRejection:
         zero = [REJECT if abs(m) < eps or m == 0.0 else sign_label(m) for m in means]
         for policy, expected in ((RejectionPolicy(tau0, tau1), band), (ZeroRejection(eps), zero)):
             assert policy.labels(np.array(means)).tolist() == expected
-            assert [policy.rejects(m) for m in means] == [label == REJECT for label in expected]
+            assert [bool(policy.mask(m)) for m in means] == [label == REJECT for label in expected]
 
     def test_zero_rejection(self):
         spec = KernelSpec(RBF)
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
         gp = fit_regression(spec, ds, 1e-8)
-        assert predict_with_rejection(gp, np.array([10.0, 0.0]), ZeroRejection()) == REJECT
-        assert predict_with_rejection(gp, np.array([0.1, 0.0]), ZeroRejection(1e-3)) == 1
+        assert ZeroRejection().labels(latent_mean(gp, np.array([10.0, 0.0]))) == REJECT
+        assert ZeroRejection(1e-3).labels(latent_mean(gp, np.array([0.1, 0.0]))) == 1
 
     def test_zero_eps_only_rejects_exact_zero(self):
         ds = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
         gp = fit_regression(KernelSpec(RBF), ds, 1e-8)
-        assert predict_with_rejection(gp, np.array([0.9]), ZeroRejection(0.0)) == 1
+        assert ZeroRejection(0.0).labels(latent_mean(gp, np.array([0.9]))) == 1
         # a zero-iteration classifier has an exactly zero latent mean
         prior = fit_classification_laplace(KernelSpec(RBF), ds, max_iter=0)
-        assert predict_with_rejection(prior, np.array([0.9]), ZeroRejection(0.0)) == REJECT
+        assert ZeroRejection(0.0).labels(latent_mean(prior, np.array([0.9]))) == REJECT
 
 
 class TestLatentGradient:
