@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from .data import Dataset, frozen_array, write_json, write_lines
@@ -70,7 +70,8 @@ class NumericalError(RuntimeError):
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    chol, info = dpotrf(matrix, lower=1)
+    """Lower Cholesky factor; a Fortran-ordered float `matrix` is factored in place."""
+    chol, info = dpotrf(matrix, lower=1, overwrite_a=1)
     if info != 0:
         raise FactorizationError(int(info))
     return chol
@@ -188,14 +189,16 @@ def _jittered_gram(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray
     return K
 
 
-def _laplace_factor(K: np.ndarray, f: np.ndarray):
+def _laplace_factor(K: np.ndarray, f: np.ndarray, out: np.ndarray | None = None):
     """Laplace quantities at latent values f (Rasmussen & Williams 2006,
     Alg. 3.1): the logistic probabilities pi, the Hessian diagonal W, its
-    square root, and the lower Cholesky factor of B = I + sqrt(W) K sqrt(W)."""
+    square root, and the lower Cholesky factor of B = I + sqrt(W) K sqrt(W),
+    built in `out` (Fortran-ordered) or a fresh array from K.T: K is exactly symmetric."""
     pi = expit(f)
     w = pi * (1.0 - pi)
     sw = np.sqrt(w)
-    B = sw[:, None] * K * sw[None, :]
+    B = np.multiply(sw[:, None], K.T, out=np.empty(K.shape, order="F") if out is None else out)
+    B *= sw
     B.flat[:: len(f) + 1] += 1.0
     return pi, w, sw, _cholesky_lower(B)
 
@@ -203,10 +206,9 @@ def _laplace_factor(K: np.ndarray, f: np.ndarray):
 def fit_regression(spec: KernelSpec, data: Dataset, jitter: float | None = None) -> TrainedGP:
     """Exact GP regression on labels in {-1, +1}: alpha solves (K + jitter*I) alpha = y."""
     jitter = _default_jitter(spec, jitter)
-    # K stays referenced until return: freed before cho_solve, it lets malloc
-    # trim the heap, and the next refit faults its pages in again
     K = _jittered_gram(spec, data.features, jitter)
-    chol = _cholesky_lower(K)
+    # K is exactly symmetric, so K.T is its Fortran view: dpotrf factors it in place, with no copy
+    chol = _cholesky_lower(K.T)
     alpha = cho_solve((chol, True), data.labels)
     return TrainedGP(
         spec=spec,
@@ -239,18 +241,35 @@ def fit_classification_laplace(
     until the unnormalized log posterior does not decrease. K carries the
     default jitter, 1e-6 * variance, on its diagonal.
     """
+    jitter = _default_jitter(spec, None)
+    K = _jittered_gram(spec, data.features, jitter)
+    f, a = _laplace_mode(K, data.labels, max_iter, tol, objective_history)
+    _, _, sw, chol_b = _laplace_factor(K, f)
+    return TrainedGP(
+        spec=spec,
+        train_features=data.features,
+        train_labels=data.labels,
+        chol=chol_b,
+        alpha=a,
+        jitter=jitter,
+        mode=CLASSIFICATION,
+        latent_mode=f,
+        sqrt_w=sw,
+    )
+
+
+def _laplace_mode(K, labels, max_iter=100, tol=1e-8, objective_history=None, work=None):
+    """fit_classification_laplace's Newton loop on the jittered Gram matrix K: the mode f and
+    a = K^-1 f. Every step builds and factors B in `work` (Fortran-ordered) or one fresh buffer."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    labels = data.labels
     if np.all(labels == labels[0]):
         raise ValueError("classification needs both classes in the training data")
-    jitter = _default_jitter(spec, None)
-
-    K = _jittered_gram(spec, data.features, jitter)
-    n = data.n
+    n = len(labels)
     y01 = (labels + 1.0) / 2.0
+    B = np.empty((n, n), order="F") if work is None else work
 
     def objective(f, a):
         # log p(y|f) - 0.5 f^T K^-1 f, with a = K^-1 f carried alongside
@@ -261,9 +280,10 @@ def fit_classification_laplace(
     if objective_history is not None:
         objective_history.append(objective(f, a))
     for iteration in range(max_iter):
-        pi, w, sw, chol_b = _laplace_factor(K, f)
+        pi, w, sw, chol_b = _laplace_factor(K, f, B)
         b = w * f + (y01 - pi)
-        a_prop = b - sw * cho_solve((chol_b, True), sw * (K @ b))
+        # the LAPACK solve cho_solve makes, without its finiteness scan of the factor
+        a_prop = b - sw * dpotrs(chol_b, sw * (K @ b), lower=1)[0]
         f_prop = K @ a_prop
         if not (np.all(np.isfinite(f_prop)) and np.all(np.isfinite(a_prop))):
             raise NumericalError(iteration, "non-finite Newton proposal")
@@ -287,19 +307,7 @@ def fit_classification_laplace(
             objective_history.append(objective(f, a))
         if change < tol:
             break
-
-    _, _, sw, chol_b = _laplace_factor(K, f)
-    return TrainedGP(
-        spec=spec,
-        train_features=data.features,
-        train_labels=data.labels,
-        chol=chol_b,
-        alpha=a,
-        jitter=jitter,
-        mode=CLASSIFICATION,
-        latent_mode=f,
-        sqrt_w=sw,
-    )
+    return f, a
 
 
 def _query_matrix(gp: TrainedGP, X) -> np.ndarray:

@@ -181,13 +181,13 @@ class TestLengthscaleExtraction:
 
     def test_scan_refits_once_per_grid_point(self, monkeypatch):
         refit_lengths = []
-        real_fit = extraction.fit_regression
+        real_refit = extraction._LengthscalePath.regression_means
 
-        def counting_fit(spec, data, jitter=None):
+        def counting_refit(path, spec, labels, jitter):
             refit_lengths.append(spec.lengthscale)
-            return real_fit(spec, data, jitter)
+            return real_refit(path, spec, labels, jitter)
 
-        monkeypatch.setattr(extraction, "fit_regression", counting_fit)
+        monkeypatch.setattr(extraction._LengthscalePath, "regression_means", counting_refit)
         gp, data = regression_victim(lengthscale=1.3)
         # no root in the interval: the scan is all the work done
         with pytest.raises(BracketingError):
