@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -419,7 +419,7 @@ def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     return aligned, distances
 
 
-def _output_distances(oracle: ModelOracle, holdout: Dataset, means) -> list[float]:
+def _output_distances(oracle: ModelOracle, holdout: Dataset, means: Iterable[np.ndarray]) -> list[float]:
     """Query the oracle on the holdout, then the mean absolute distance to it
     of each item of `means`, a GPC's latent means there: one fit per item,
     each made only once the queries are done."""
