@@ -12,23 +12,20 @@ Note on the "known data" equation system: although the recovery target is a
 single scalar, the observed mean is nonlinear in the lengthscale (the whole
 training covariance depends on it), so the lengthscale attack runs a
 bracketing bisection on log l rather than a linear solve. The two-query
-budget is preserved: candidate refits are attacker-side and free. They run,
-as the sweeps' fits do, on a `_LengthscalePath` that builds no model per refit.
+budget is preserved: candidate refits are attacker-side and free.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .data import Dataset, rows_in, write_lines
-from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean_batch, predict
-from .gp import _cholesky_lower, _default_jitter, _laplace_mode
-from .kernels import RBF, KernelSpec, _differences, _kernel_block, _rbf_from_differences
+from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
+from .kernels import RBF, KernelSpec
 
 __all__ = [
     "ModelOracle",
@@ -169,36 +166,6 @@ def _draw_probe(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, avoid:
     raise RuntimeError("could not draw a probe off the training set")
 
 
-class _LengthscalePath:
-    """Refits on the training rows X at many RBF lengthscales, read at the
-    query rows Q. K + jitter*I is built into a buffer from X's held
-    differences by kernel_matrix's operations, with a second buffer as
-    scratch and then as B. Each mean is the public fit's, bit for bit, fresh."""
-
-    def __init__(self, features: np.ndarray, queries: np.ndarray):
-        self._features, self._queries = features, queries
-        self._diffs = list(_differences(features, features))
-        self._K, self._work = np.empty((2, len(features), len(features)))
-
-    def _kernels(self, spec: KernelSpec, jitter: float | None) -> tuple[np.ndarray, np.ndarray]:
-        """K(X, X) + jitter*I in the K buffer, and k(Q, X); jitter as in fit_regression."""
-        K = _rbf_from_differences(self._diffs, spec.lengthscales(len(self._diffs)), spec.variance, self._K, self._work)
-        K.flat[:: len(K) + 1] += _default_jitter(spec, jitter)
-        return K, _kernel_block(spec, self._queries, self._features)
-
-    def regression_means(self, spec: KernelSpec, labels: np.ndarray, jitter: float) -> np.ndarray:
-        """Each query row's latent_mean under fit_regression(spec, (X, labels), jitter)."""
-        K, k = self._kernels(spec, jitter)
-        # K is exactly symmetric, so K.T is its Fortran view, factored in place
-        alpha = dpotrs(_cholesky_lower(K.T), labels, lower=1)[0]
-        return np.matmul(k[:, None, :], alpha)[:, 0]
-
-    def laplace_means(self, spec: KernelSpec, labels: np.ndarray) -> np.ndarray:
-        """latent_mean_batch at Q of fit_classification_laplace(spec, (X, labels)), less its final factor."""
-        K, k = self._kernels(spec, None)
-        return k @ _laplace_mode(K, labels, work=self._work.T)[1]
-
-
 def _observed_means(oracle: ModelOracle, points: np.ndarray) -> np.ndarray:
     """The oracle's mean at each row of `points`, one query per row."""
     return np.array([oracle.query(p)[0] for p in points])
@@ -222,9 +189,9 @@ def extract_lengthscale_analytic(
     log-spaced scan plus bisection on log l, run on each residual (one probe
     can have a tangent root that never changes sign; the other then supplies
     the bracket), and every candidate root must agree with both observations
-    before it counts as converged. Every candidate is one refit on the
-    training data, which gives both probes' means; the scan and the final
-    check read both residuals, each bisection its own residual only.
+    before it counts as converged. The scan and the final check read both
+    residuals from one refit per candidate; each bisection refits for its
+    own residual only.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not 0 < lo < hi:
@@ -238,12 +205,10 @@ def extract_lengthscale_analytic(
         probes.append(_draw_probe(rng, box_lo, box_hi, train_data.features))
         observed.append(oracle.query(probes[-1])[0])
 
-    path = _LengthscalePath(train_data.features, np.array(probes))
-
     def residuals(length: float, which=(0, 1)) -> tuple[float, ...]:
         """The residuals of the probes in `which`, all from one refit."""
-        means = path.regression_means(KernelSpec(RBF, lengthscale=length, variance=variance), train_data.labels, jitter)
-        return tuple(observed[k] - float(means[k]) for k in which)
+        gp = fit_regression(KernelSpec(RBF, lengthscale=length, variance=variance), train_data, jitter)
+        return tuple(observed[k] - latent_mean(gp, probes[k]) for k in which)
 
     grid = np.geomspace(lo, hi, scan_points)
     scan = np.array([residuals(l) for l in grid])
@@ -419,12 +384,17 @@ def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     return aligned, distances
 
 
-def _output_distances(oracle: ModelOracle, holdout: Dataset, means: Iterable[np.ndarray]) -> list[float]:
-    """Query the oracle on the holdout, then the mean absolute distance to it
-    of each item of `means`, a GPC's latent means there: one fit per item,
-    each made only once the queries are done."""
+def _output_distances(
+    oracle: ModelOracle, specs: Sequence[KernelSpec], train_data: Dataset, holdout: Dataset
+) -> list[float]:
+    """Query the oracle on the holdout, then fit one GPC per spec on
+    `train_data`; each spec's mean absolute latent-mean distance to it."""
     targets = _observed_means(oracle, holdout.features)
-    return [float(np.mean(np.abs(m - targets))) for m in means]
+    distances = []
+    for spec in specs:
+        gp = fit_classification_laplace(spec, train_data)
+        distances.append(float(np.mean(np.abs(latent_mean_batch(gp, holdout.features) - targets))))
+    return distances
 
 
 SWEEP_REGIMES = ("same", "mixed", "disjoint")
@@ -458,9 +428,7 @@ def estimate_lengthscale_sweep(
     start_count = oracle.query_count
     lengths = [float(l) for l in true_l_hint / 2.0 + np.arange(SWEEP_MODELS) * (true_l_hint / SWEEP_MODELS)]
     specs = [KernelSpec(RBF, lengthscale=length, variance=variance) for length in lengths]
-    path = _LengthscalePath(attacker_data.features, holdout.features)  # the 50 fits share one point set
-    means = (path.laplace_means(spec, attacker_data.labels) for spec in specs)
-    curve = list(zip(lengths, _output_distances(oracle, holdout, means)))
+    curve = list(zip(lengths, _output_distances(oracle, specs, attacker_data, holdout)))
     argmin = curve[int(np.argmin([c[1] for c in curve]))][0]
     return {
         "regime": regime,
@@ -482,9 +450,7 @@ def identify_kernel(
         raise ValueError("need at least one candidate kernel")
     if holdout.n < 1:
         raise ValueError("holdout must be nonempty")
-    # one fit per family shares nothing: no _LengthscalePath holds memory across the fits
-    means = (latent_mean_batch(fit_classification_laplace(spec, train_data), holdout.features) for spec in candidates)
-    return sorted(zip(candidates, _output_distances(oracle, holdout, means)), key=lambda pair: pair[1])
+    return sorted(zip(candidates, _output_distances(oracle, candidates, train_data, holdout)), key=lambda pair: pair[1])
 
 
 def write_sweep_csv(path, sweep: dict):

@@ -69,9 +69,10 @@ class NumericalError(RuntimeError):
         self.iteration = iteration
 
 
-def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; a Fortran-ordered float `matrix` is factored in place."""
-    chol, info = dpotrf(matrix, lower=1, overwrite_a=1)
+def _cholesky_lower(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of `matrix`, which is left as it is unless
+    `overwrite` is set: then a Fortran-ordered float matrix is factored in place."""
+    chol, info = dpotrf(matrix, lower=1, overwrite_a=overwrite)
     if info != 0:
         raise FactorizationError(int(info))
     return chol
@@ -192,15 +193,16 @@ def _jittered_gram(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray
 def _laplace_factor(K: np.ndarray, f: np.ndarray, out: np.ndarray | None = None):
     """Laplace quantities at latent values f (Rasmussen & Williams 2006,
     Alg. 3.1): the logistic probabilities pi, the Hessian diagonal W, its
-    square root, and the lower Cholesky factor of B = I + sqrt(W) K sqrt(W),
-    built in `out` (Fortran-ordered) or a fresh array from K.T: K is exactly symmetric."""
+    square root, and the lower Cholesky factor of B = I + sqrt(W) K sqrt(W).
+    B is built from K.T, as K is exactly symmetric, in `out` (Fortran-ordered)
+    or a fresh array, and factored in place."""
     pi = expit(f)
     w = pi * (1.0 - pi)
     sw = np.sqrt(w)
     B = np.multiply(sw[:, None], K.T, out=np.empty(K.shape, order="F") if out is None else out)
     B *= sw
     B.flat[:: len(f) + 1] += 1.0
-    return pi, w, sw, _cholesky_lower(B)
+    return pi, w, sw, _cholesky_lower(B, overwrite=True)
 
 
 def fit_regression(spec: KernelSpec, data: Dataset, jitter: float | None = None) -> TrainedGP:
@@ -208,8 +210,8 @@ def fit_regression(spec: KernelSpec, data: Dataset, jitter: float | None = None)
     jitter = _default_jitter(spec, jitter)
     K = _jittered_gram(spec, data.features, jitter)
     # K is exactly symmetric, so K.T is its Fortran view: dpotrf factors it in place, with no copy
-    chol = _cholesky_lower(K.T)
-    alpha = cho_solve((chol, True), data.labels)
+    chol = _cholesky_lower(K.T, overwrite=True)
+    alpha = dpotrs(chol, data.labels, lower=1)[0]
     return TrainedGP(
         spec=spec,
         train_features=data.features,
@@ -241,35 +243,19 @@ def fit_classification_laplace(
     until the unnormalized log posterior does not decrease. K carries the
     default jitter, 1e-6 * variance, on its diagonal.
     """
-    jitter = _default_jitter(spec, None)
-    K = _jittered_gram(spec, data.features, jitter)
-    f, a = _laplace_mode(K, data.labels, max_iter, tol, objective_history)
-    _, _, sw, chol_b = _laplace_factor(K, f)
-    return TrainedGP(
-        spec=spec,
-        train_features=data.features,
-        train_labels=data.labels,
-        chol=chol_b,
-        alpha=a,
-        jitter=jitter,
-        mode=CLASSIFICATION,
-        latent_mode=f,
-        sqrt_w=sw,
-    )
-
-
-def _laplace_mode(K, labels, max_iter=100, tol=1e-8, objective_history=None, work=None):
-    """fit_classification_laplace's Newton loop on the jittered Gram matrix K: the mode f and
-    a = K^-1 f. Every step builds and factors B in `work` (Fortran-ordered) or one fresh buffer."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    labels = data.labels
     if np.all(labels == labels[0]):
         raise ValueError("classification needs both classes in the training data")
-    n = len(labels)
+    jitter = _default_jitter(spec, None)
+
+    K = _jittered_gram(spec, data.features, jitter)
+    n = data.n
     y01 = (labels + 1.0) / 2.0
-    B = np.empty((n, n), order="F") if work is None else work
+    B = np.empty((n, n), order="F")  # every step builds and factors B here
 
     def objective(f, a):
         # log p(y|f) - 0.5 f^T K^-1 f, with a = K^-1 f carried alongside
@@ -307,7 +293,20 @@ def _laplace_mode(K, labels, max_iter=100, tol=1e-8, objective_history=None, wor
             objective_history.append(objective(f, a))
         if change < tol:
             break
-    return f, a
+
+    # TrainedGP keeps a copy of the factor, so B serves once more
+    _, _, sw, chol_b = _laplace_factor(K, f, B)
+    return TrainedGP(
+        spec=spec,
+        train_features=data.features,
+        train_labels=data.labels,
+        chol=chol_b,
+        alpha=a,
+        jitter=jitter,
+        mode=CLASSIFICATION,
+        latent_mode=f,
+        sqrt_w=sw,
+    )
 
 
 def _query_matrix(gp: TrainedGP, X) -> np.ndarray:

@@ -181,13 +181,13 @@ class TestLengthscaleExtraction:
 
     def test_scan_refits_once_per_grid_point(self, monkeypatch):
         refit_lengths = []
-        real_refit = extraction._LengthscalePath.regression_means
+        real_fit = extraction.fit_regression
 
-        def counting_refit(path, spec, labels, jitter):
+        def counting_fit(spec, data, jitter=None):
             refit_lengths.append(spec.lengthscale)
-            return real_refit(path, spec, labels, jitter)
+            return real_fit(spec, data, jitter)
 
-        monkeypatch.setattr(extraction._LengthscalePath, "regression_means", counting_refit)
+        monkeypatch.setattr(extraction, "fit_regression", counting_fit)
         gp, data = regression_victim(lengthscale=1.3)
         # no root in the interval: the scan is all the work done
         with pytest.raises(BracketingError):

@@ -415,6 +415,15 @@ class TestSerialization:
         loaded = load_gp(path)
         assert predict(loaded, query) == predict(gp, query)
 
+    def test_round_trip_one_row_regression(self, tmp_path):
+        # a 1 x 1 Gram matrix is Fortran-ordered too: load_gp's check must
+        # read it unfactored
+        gp = fit_regression(KernelSpec(RBF, lengthscale=0.5), Dataset(np.array([[0.3, -0.2]]), np.array([1.0])))
+        path = tmp_path / "model.json"
+        save_gp(gp, path)
+        loaded = load_gp(path)
+        assert predict(loaded, [0.1, 0.4]) == predict(gp, [0.1, 0.4])
+
     def test_round_trip_classification(self, tmp_path):
         data = generate_two_moons(40, 0.15, 3)
         gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), data)
