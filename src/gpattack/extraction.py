@@ -12,20 +12,21 @@ Note on the "known data" equation system: although the recovery target is a
 single scalar, the observed mean is nonlinear in the lengthscale (the whole
 training covariance depends on it), so the lengthscale attack runs a
 bracketing bisection on log l rather than a linear solve. The two-query
-budget is preserved: candidate refits are attacker-side and free.
+budget is preserved: candidate refits are attacker-side and free. They, and
+a sweep's fits, take their kernel matrices from one `_LengthscalePath`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import Dataset, rows_in, write_lines
 from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
-from .kernels import RBF, KernelSpec
+from .kernels import RBF, KernelSpec, _differences, _rbf, _scaled_sq_sum
 
 __all__ = [
     "ModelOracle",
@@ -166,6 +167,20 @@ def _draw_probe(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, avoid:
     raise RuntimeError("could not draw a probe off the training set")
 
 
+class _LengthscalePath:
+    """kernel_matrix(spec, X, X) of one point set X under many RBF specs, bit
+    for bit: X's coordinate differences are taken once, and each Gram matrix
+    is built in one held buffer, which the next call overwrites."""
+
+    def __init__(self, features: np.ndarray):
+        self._diffs = list(_differences(features, features))
+        self._K, self._scratch = np.empty((2, len(features), len(features)))
+
+    def gram(self, spec: KernelSpec) -> np.ndarray:
+        ls = spec.lengthscales(len(self._diffs))
+        return _rbf(_scaled_sq_sum(self._diffs, ls, self._K, self._scratch), spec.variance)
+
+
 def _observed_means(oracle: ModelOracle, points: np.ndarray) -> np.ndarray:
     """The oracle's mean at each row of `points`, one query per row."""
     return np.array([oracle.query(p)[0] for p in points])
@@ -205,9 +220,12 @@ def extract_lengthscale_analytic(
         probes.append(_draw_probe(rng, box_lo, box_hi, train_data.features))
         observed.append(oracle.query(probes[-1])[0])
 
+    path = _LengthscalePath(train_data.features)
+
     def residuals(length: float, which=(0, 1)) -> tuple[float, ...]:
         """The residuals of the probes in `which`, all from one refit."""
-        gp = fit_regression(KernelSpec(RBF, lengthscale=length, variance=variance), train_data, jitter)
+        spec = KernelSpec(RBF, lengthscale=length, variance=variance)
+        gp = fit_regression(spec, train_data, jitter, gram=path.gram(spec))
         return tuple(observed[k] - latent_mean(gp, probes[k]) for k in which)
 
     grid = np.geomspace(lo, hi, scan_points)
@@ -384,17 +402,11 @@ def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     return aligned, distances
 
 
-def _output_distances(
-    oracle: ModelOracle, specs: Sequence[KernelSpec], train_data: Dataset, holdout: Dataset
-) -> list[float]:
-    """Query the oracle on the holdout, then fit one GPC per spec on
-    `train_data`; each spec's mean absolute latent-mean distance to it."""
+def _output_distances(oracle: ModelOracle, holdout: Dataset, models: Iterable[TrainedGP]) -> list[float]:
+    """Query the oracle on the holdout, then each of `models`' mean absolute
+    latent-mean distance to it; a lazy `models` fits each once the queries are done."""
     targets = _observed_means(oracle, holdout.features)
-    distances = []
-    for spec in specs:
-        gp = fit_classification_laplace(spec, train_data)
-        distances.append(float(np.mean(np.abs(latent_mean_batch(gp, holdout.features) - targets))))
-    return distances
+    return [float(np.mean(np.abs(latent_mean_batch(gp, holdout.features) - targets))) for gp in models]
 
 
 SWEEP_REGIMES = ("same", "mixed", "disjoint")
@@ -428,7 +440,9 @@ def estimate_lengthscale_sweep(
     start_count = oracle.query_count
     lengths = [float(l) for l in true_l_hint / 2.0 + np.arange(SWEEP_MODELS) * (true_l_hint / SWEEP_MODELS)]
     specs = [KernelSpec(RBF, lengthscale=length, variance=variance) for length in lengths]
-    curve = list(zip(lengths, _output_distances(oracle, specs, attacker_data, holdout)))
+    path = _LengthscalePath(attacker_data.features)  # the fits share one point set
+    models = (fit_classification_laplace(spec, attacker_data, gram=path.gram(spec)) for spec in specs)
+    curve = list(zip(lengths, _output_distances(oracle, holdout, models)))
     argmin = curve[int(np.argmin([c[1] for c in curve]))][0]
     return {
         "regime": regime,
@@ -450,7 +464,8 @@ def identify_kernel(
         raise ValueError("need at least one candidate kernel")
     if holdout.n < 1:
         raise ValueError("holdout must be nonempty")
-    return sorted(zip(candidates, _output_distances(oracle, candidates, train_data, holdout)), key=lambda pair: pair[1])
+    models = (fit_classification_laplace(spec, train_data) for spec in candidates)
+    return sorted(zip(candidates, _output_distances(oracle, holdout, models)), key=lambda pair: pair[1])
 
 
 def write_sweep_csv(path, sweep: dict):

@@ -183,9 +183,11 @@ def _default_jitter(spec: KernelSpec, jitter: float | None) -> float:
     return float(jitter)
 
 
-def _jittered_gram(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray:
-    """K(X, X) + jitter*I."""
-    K = kernel_matrix(spec, X, X)
+def _jittered_gram(spec: KernelSpec, X: np.ndarray, jitter: float, gram: np.ndarray | None = None) -> np.ndarray:
+    """K(X, X) + jitter*I, built in `gram` when that already holds K(X, X)."""
+    K = kernel_matrix(spec, X, X) if gram is None else gram
+    if K.shape != (len(X), len(X)):
+        raise ValueError(f"gram has shape {K.shape}, expected {(len(X), len(X))}")
     K[np.diag_indices_from(K)] += jitter
     return K
 
@@ -205,10 +207,17 @@ def _laplace_factor(K: np.ndarray, f: np.ndarray, out: np.ndarray | None = None)
     return pi, w, sw, _cholesky_lower(B, overwrite=True)
 
 
-def fit_regression(spec: KernelSpec, data: Dataset, jitter: float | None = None) -> TrainedGP:
-    """Exact GP regression on labels in {-1, +1}: alpha solves (K + jitter*I) alpha = y."""
+def fit_regression(
+    spec: KernelSpec, data: Dataset, jitter: float | None = None, *, gram: np.ndarray | None = None
+) -> TrainedGP:
+    """Exact GP regression on labels in {-1, +1}: alpha solves (K + jitter*I) alpha = y.
+
+    A caller that already holds K = kernel_matrix(spec, X, X) for the
+    training rows X may pass it as `gram`; the fit adds the jitter to it and
+    factors it in place, and the model is the same, bit for bit.
+    """
     jitter = _default_jitter(spec, jitter)
-    K = _jittered_gram(spec, data.features, jitter)
+    K = _jittered_gram(spec, data.features, jitter, gram)
     # K is exactly symmetric, so K.T is its Fortran view: dpotrf factors it in place, with no copy
     chol = _cholesky_lower(K.T, overwrite=True)
     alpha = dpotrs(chol, data.labels, lower=1)[0]
@@ -234,6 +243,8 @@ def fit_classification_laplace(
     max_iter: int = 100,
     tol: float = 1e-8,
     objective_history: list | None = None,
+    *,
+    gram: np.ndarray | None = None,
 ) -> TrainedGP:
     """Binary GP classification via the Laplace approximation.
 
@@ -241,7 +252,8 @@ def fit_classification_laplace(
     stopping once the mode changes by less than `tol` in max-norm or after
     `max_iter` iterations. Each Newton step is halved (up to 20 times)
     until the unnormalized log posterior does not decrease. K carries the
-    default jitter, 1e-6 * variance, on its diagonal.
+    default jitter, 1e-6 * variance, on its diagonal; as in fit_regression, a
+    caller may pass K as `gram`, which the fit then overwrites.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -252,7 +264,7 @@ def fit_classification_laplace(
         raise ValueError("classification needs both classes in the training data")
     jitter = _default_jitter(spec, None)
 
-    K = _jittered_gram(spec, data.features, jitter)
+    K = _jittered_gram(spec, data.features, jitter, gram)
     n = data.n
     y01 = (labels + 1.0) / 2.0
     B = np.empty((n, n), order="F")  # every step builds and factors B here

@@ -125,18 +125,32 @@ def scaled_sq_distances(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.nd
     `(((A[:, None] - B[None]) / ls) ** 2).sum(-1)`; from d = 8 numpy sums
     pairwise and the two differ by about one ulp.
     """
-    ls = spec.lengthscales(A.shape[1])
+    return _scaled_sq_sum(_differences(A, B), spec.lengthscales(A.shape[1]))
 
-    def scaled_square(j: int) -> np.ndarray:
-        c = A[:, j, None] - B[None, :, j]
-        c /= ls[j]
-        c *= c
-        return c
 
-    out = scaled_square(0)
-    for j in range(1, A.shape[1]):
-        out += scaled_square(j)
-    return out
+def _differences(A: np.ndarray, B: np.ndarray):
+    """Slab j is a fresh array of A[:, j] - B[:, j] over all pairs of rows."""
+    return (A[:, j, None] - B[None, :, j] for j in range(A.shape[1]))
+
+
+def _scaled_sq_sum(diffs, ls: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """sum_j (diffs_j / ls_j)^2 over difference slabs, added in column order:
+    slab 0 is scaled into `out` and later ones into `scratch`, or without
+    `out` each slab into itself."""
+    for j, c in enumerate(diffs):
+        s = np.divide(c, ls[j], out=c if out is None else out if j == 0 else scratch)
+        s *= s
+        total = s if j == 0 else np.add(total, s, out=total)
+    return total
+
+
+def _rbf(sq: np.ndarray, variance: float) -> np.ndarray:
+    """variance * exp(-0.5 * sq), in place on the squared distances `sq`:
+    the one home of the RBF formula."""
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= variance
+    return sq
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
@@ -165,12 +179,7 @@ def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray, rowwise: bool 
     row i is bit for bit the block of A[i:i + 1] alone: one matrix-vector
     product per row, since a matrix product over all of A rounds otherwise."""
     if spec.family == RBF:
-        # variance * exp(-0.5 * D), each step in place on the fresh D
-        k = scaled_sq_distances(spec, A, B)
-        k *= -0.5
-        np.exp(k, out=k)
-        k *= spec.variance
-        return k
+        return _rbf(scaled_sq_distances(spec, A, B), spec.variance)
     dot = np.matmul(A[:, None, :], B.T)[:, 0] if rowwise else A @ B.T
     if spec.family == LINEAR:
         return spec.variance * dot

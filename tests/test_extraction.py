@@ -183,9 +183,9 @@ class TestLengthscaleExtraction:
         refit_lengths = []
         real_fit = extraction.fit_regression
 
-        def counting_fit(spec, data, jitter=None):
+        def counting_fit(spec, data, jitter=None, **kwargs):
             refit_lengths.append(spec.lengthscale)
-            return real_fit(spec, data, jitter)
+            return real_fit(spec, data, jitter, **kwargs)
 
         monkeypatch.setattr(extraction, "fit_regression", counting_fit)
         gp, data = regression_victim(lengthscale=1.3)

@@ -1,14 +1,18 @@
 """The kernels and fits that build their results in place give the bits of
 the out-of-place expressions they replaced, with scalar and per-dimension
-RBF lengthscales, and no buffer a fit reuses leaks into a model."""
+RBF lengthscales. The extraction lengthscale path's Gram matrices equal
+kernel_matrix's, a fit on one equals the fit without it, and no buffer a
+fit or the path reuses leaks into a model."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from gpattack.data import Dataset
+from gpattack.extraction import _LengthscalePath
 from gpattack.gp import _jittered_gram, fit_classification_laplace, fit_regression
 from gpattack.kernels import RBF, KernelSpec, _kernel_gradient_block, kernel_matrix, scaled_sq_distances
 
@@ -25,7 +29,7 @@ def lengthscales(draw, d):
 
 @st.composite
 def point_sets(draw):
-    """Training rows with both labels, query rows, and an RBF spec on them."""
+    """Training rows with both labels, query rows, and 1-4 RBF specs on them."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
@@ -33,8 +37,12 @@ def point_sets(draw):
     X = rng.uniform(-2.0, 2.0, size=(n, d))
     y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
     y[:2] = (1.0, -1.0)
-    spec = KernelSpec(RBF, lengthscale=draw(lengthscales(d)), variance=draw(st.floats(0.25, 4.0)))
-    return Dataset(X, y), rng.uniform(-3.0, 3.0, size=(m, d)), spec
+    variance = draw(st.floats(0.25, 4.0))
+    specs = [
+        KernelSpec(RBF, lengthscale=ls, variance=variance)
+        for ls in draw(st.lists(lengthscales(d), min_size=1, max_size=4))
+    ]
+    return Dataset(X, y), rng.uniform(-3.0, 3.0, size=(m, d)), specs
 
 
 def chol(matrix):
@@ -42,10 +50,23 @@ def chol(matrix):
     return dpotrf(matrix, lower=1)[0]
 
 
+FIELDS = ("chol", "alpha", "latent_mode", "sqrt_w")
+
+
+def same_model(a, b) -> bool:
+    """Every array field of the two models is equal."""
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in FIELDS
+        if getattr(a, name) is not None or getattr(b, name) is not None
+    )
+
+
 @SETTINGS
 @given(point_sets())
 def test_rbf_block_equals_the_distance_formula(case):
-    data, queries, spec = case
+    data, queries, specs = case
+    spec = specs[0]
     ls = spec.lengthscales(data.d)
     sq = sum(((queries[:, j, None] - data.features[None, :, j]) / ls[j]) ** 2 for j in range(data.d))
     assert np.array_equal(scaled_sq_distances(spec, queries, data.features), sq)
@@ -55,7 +76,8 @@ def test_rbf_block_equals_the_distance_formula(case):
 @SETTINGS
 @given(point_sets())
 def test_gradient_block_equals_the_closed_form(case):
-    data, queries, spec = case
+    data, queries, specs = case
+    spec = specs[0]
     k = kernel_matrix(spec, queries, data.features)
     ls = spec.lengthscales(data.d)
     reference = k[:, :, None] * (-(queries[:, None, :] - data.features) / ls**2)
@@ -65,7 +87,8 @@ def test_gradient_block_equals_the_closed_form(case):
 @SETTINGS
 @given(point_sets(), st.floats(1e-10, 1e-4))
 def test_regression_fit_equals_the_copying_solve(case, jitter):
-    data, _, spec = case
+    data, _, specs = case
+    spec = specs[0]
     K = _jittered_gram(spec, data.features, jitter)
     gp = fit_regression(spec, data, jitter)
     assert np.array_equal(gp.chol, chol(K))
@@ -75,7 +98,8 @@ def test_regression_fit_equals_the_copying_solve(case, jitter):
 @SETTINGS
 @given(point_sets())
 def test_laplace_factor_equals_the_copying_factor(case):
-    data, _, spec = case
+    data, _, specs = case
+    spec = specs[0]
     gp = fit_classification_laplace(spec, data)
     K = _jittered_gram(spec, data.features, gp.jitter)
     B = gp.sqrt_w[:, None] * K * gp.sqrt_w[None, :] + np.eye(data.n)
@@ -87,14 +111,43 @@ def test_models_keep_their_values_after_later_fits():
     X = rng.uniform(-2.0, 2.0, size=(15, 2))
     data = Dataset(X, np.where(X[:, 0] > 0, 1.0, -1.0))
     first, second = KernelSpec(RBF, lengthscale=0.5), KernelSpec(RBF, lengthscale=2.0)
-    models = [fit_regression(first, data, 1e-8), fit_classification_laplace(first, data)]
-    fields = ("chol", "alpha", "latent_mode", "sqrt_w")
-    kept = [{name: np.copy(getattr(gp, name)) for name in fields if getattr(gp, name) is not None} for gp in models]
+    path = _LengthscalePath(data.features)
+    models = [
+        fit_regression(first, data, 1e-8),
+        fit_classification_laplace(first, data),
+        fit_regression(first, data, 1e-8, gram=path.gram(first)),
+        fit_classification_laplace(first, data, gram=path.gram(first)),
+    ]
+    kept = [{name: np.copy(getattr(gp, name)) for name in FIELDS if getattr(gp, name) is not None} for gp in models]
 
     fit_regression(second, data, 1e-8)
     fit_classification_laplace(second, data)
+    fit_regression(second, data, 1e-8, gram=path.gram(second))
+    fit_classification_laplace(second, data, gram=path.gram(second))
 
+    held = [*path._diffs, path._K, path._scratch]
     for gp, fields_kept in zip(models, kept):
         for name, copy in fields_kept.items():
             assert np.array_equal(getattr(gp, name), copy)
             assert not getattr(gp, name).flags.writeable
+            assert not any(np.shares_memory(getattr(gp, name), array) for array in held)
+
+
+@SETTINGS
+@given(point_sets(), st.floats(1e-10, 1e-4))
+def test_fits_on_the_path_grams_equal_the_fits(case, jitter):
+    # one path serves every spec in turn, as in the scan and the sweeps
+    data, _, specs = case
+    path = _LengthscalePath(data.features)
+    for spec in specs:
+        assert np.array_equal(path.gram(spec), kernel_matrix(spec, data.features, data.features))
+        assert same_model(fit_regression(spec, data, jitter, gram=path.gram(spec)), fit_regression(spec, data, jitter))
+        assert same_model(
+            fit_classification_laplace(spec, data, gram=path.gram(spec)), fit_classification_laplace(spec, data)
+        )
+
+
+def test_a_gram_of_another_shape_is_refused():
+    data = Dataset(np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]]), np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError, match="gram has shape"):
+        fit_regression(KernelSpec(RBF, lengthscale=1.0), data, gram=np.eye(2))
