@@ -22,6 +22,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import numbers
@@ -593,6 +594,7 @@ _FLAGS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gpattack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)

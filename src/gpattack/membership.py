@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, frozen_array, rows_in
-from .gp import CLASSIFICATION, TrainedGP, accuracy as gp_accuracy, predict_batch
+from .gp import CLASSIFICATION, TrainedGP, accuracy as gp_accuracy, latent_mean_batch, predict_batch
 from .kernels import RBF, kernel_matrix, scaled_sq_distances
 
 __all__ = [
@@ -87,7 +87,11 @@ def _canonical_feature_set(feature_set) -> tuple[str, ...]:
 
 
 def _feature_rows(gp: TrainedGP, points: np.ndarray, feature_set: tuple[str, ...]) -> np.ndarray:
-    means, variances = predict_batch(gp, points)
+    # the predictive variance costs a solve against the n x n factor
+    if VARIANCE in feature_set:
+        means, variances = predict_batch(gp, points)
+    else:
+        means = latent_mean_batch(gp, points)
     columns = []
     for name in feature_set:
         if name == MEAN:
@@ -203,20 +207,20 @@ class AttackClassifier:
         return np.where(2 * votes > len(self.roots), MEMBER, NON_MEMBER)
 
 
-def _level_splits(X, rows, local, labels, size, ones, allowed):
+def _level_splits(X, rows, local, labels, size, ones, allowed, orders):
     """Best Gini split of every open node of one level.
 
     `rows`/`labels` are the samples of the open nodes, `local` their node's
     index among them, and `size`/`ones` each open node's sample and member
-    counts. Per feature, one sort by (node, value)
-    gives every node's sorted column as one segment; prefix member counts
-    within a segment score each boundary between distinct values. A node
-    keeps the first minimum over its boundaries and, across features, the
-    lowest feature index among equal Ginis, and splits at the midpoint of
-    the boundary's two values (at the lower one where the midpoint rounds
-    to the upper). `allowed[k, j]` says whether
-    node k may split on feature j (None: every feature). Returns the chosen
-    feature (-1 where no boundary exists) and threshold per node.
+    counts. `orders[j]` lists the samples by (node, value of feature j,
+    position), so it gives every node's sorted column as one segment; prefix
+    member counts within a segment score each boundary between distinct
+    values. A node keeps the first minimum over its boundaries and, across
+    features, the lowest feature index among equal Ginis, and splits at the
+    midpoint of the boundary's two values (at the lower one where the
+    midpoint rounds to the upper). `allowed[k, j]` says whether node k may
+    split on feature j (None: every feature). Returns the chosen feature (-1
+    where no boundary exists) and threshold per node.
     """
     count = len(size)
     starts = np.cumsum(size) - size
@@ -224,13 +228,10 @@ def _level_splits(X, rows, local, labels, size, ones, allowed):
     best_gini = np.full(count, np.inf)
     best_feature = np.full(count, -1, dtype=np.int32)
     best_threshold = np.zeros(count)
-    for j in range(X.shape[1]):
-        values = X[rows, j]
-        order = np.lexsort((values, local))
-        values = values[order]
+    for j, order in enumerate(orders):
+        values = X[rows[order], j]
         node = local[order]
         cum = np.cumsum(labels[order])
-        del order
         boundary = np.flatnonzero((node[1:] == node[:-1]) & (values[1:] > values[:-1]))
         at = node[boundary]
         if allowed is not None:
@@ -265,15 +266,36 @@ def _level_splits(X, rows, local, labels, size, ones, allowed):
     return best_feature, best_threshold
 
 
-def _grow_group(X, labels, rngs, max_depth, first, table) -> int:
+def _stable_order(keys):
+    """Stable argsort of non-negative integer keys along their last axis, in
+    the smallest unsigned type that holds them: numpy radix-sorts keys of at
+    most 16 bits and merge-sorts wider ones, in the same order."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max())), axis=-1, kind="stable")
+
+
+def _kept(orders, mask):
+    """Each of `orders` restricted to the samples `mask` keeps, renumbered to
+    their positions among them."""
+    return (np.cumsum(mask) - 1)[orders[mask[orders]].reshape(len(orders), -1)]
+
+
+def _grow_group(X, ranks, labels, rngs, max_depth, first, table) -> int:
     """Grow one tree per generator in `rngs`, all together one depth at a
     time, appending each level's nodes to the lists in `table` with ids from
-    `first` on. Returns the id after the last node."""
+    `first` on. Returns the id after the last node.
+
+    `ranks[j]` holds each row's dense rank among the distinct values of
+    feature j. One stable sort per feature orders the group's samples by
+    (tree, value, position), and these orders travel from level to level:
+    the samples that leave are filtered out of them, and after the splits
+    one stable sort by child node re-partitions each, so every level's
+    `_level_splits` reads its (node, value, position) orders ready-made."""
     m, f = X.shape
     n_sub = math.ceil(math.sqrt(f))
     rows = np.concatenate([rng.integers(0, m, size=m) for rng in rngs]).astype(np.int32)
     local = np.repeat(np.arange(len(rngs), dtype=np.int32), m)
     tree_of = np.arange(len(rngs), dtype=np.int32)
+    orders = _stable_order(local * (ranks.max(axis=1, keepdims=True) + 1) + ranks[:, rows])
     for depth in range(max_depth + 1):
         count = len(tree_of)
         y = labels[rows]
@@ -293,9 +315,10 @@ def _grow_group(X, labels, rngs, max_depth, first, table) -> int:
             position[open_nodes] = np.arange(len(open_nodes), dtype=np.int32)
             sample_open = position[local] >= 0
             rows, local, y = rows[sample_open], position[local[sample_open]], y[sample_open]
+            orders = _kept(orders, sample_open)
             del sample_open
             split_feature, split_threshold = _level_splits(
-                X, rows, local, y, size[open_nodes], ones[open_nodes], allowed
+                X, rows, local, y, size[open_nodes], ones[open_nodes], allowed, orders
             )
             feature[open_nodes] = split_feature
             threshold[open_nodes] = split_threshold
@@ -314,9 +337,11 @@ def _grow_group(X, labels, rngs, max_depth, first, table) -> int:
             return first
         keep = split[local]
         rows, local = rows[keep], local[keep]
+        orders = _kept(orders, keep)
         del keep
         go_right = ~(X[rows, feature[local]] <= threshold[local])
         local = (child[local] - first + go_right).astype(np.int32)
+        orders = np.take_along_axis(orders, _stable_order(local[orders]), axis=1)
         tree_of = np.repeat(tree_of[split], 2)
     return first
 
@@ -343,6 +368,7 @@ def train_attack_classifier(
     if np.all(labels == labels[0]):
         raise ValueError("attack training data must contain both membership classes")
     X = ds.feature_rows
+    ranks = np.array([np.unique(column, return_inverse=True)[1] for column in X.T])
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(trees)]
     table = {name: [] for name in _TABLE}
     roots = []
@@ -351,7 +377,7 @@ def train_attack_classifier(
     for start in range(0, trees, step):
         group = rngs[start : start + step]
         roots.append(np.arange(first, first + len(group)))
-        first = _grow_group(X, labels, group, max_depth, first, table)
+        first = _grow_group(X, ranks, labels, group, max_depth, first, table)
     parts = {name: np.concatenate(levels) for name, levels in table.items()}
     return AttackClassifier(**parts, roots=np.concatenate(roots), n_features=X.shape[1])
 

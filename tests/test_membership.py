@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from gpattack.data import Dataset, generate_blobs, split
 from gpattack.gp import fit_classification_laplace, fit_regression
 from gpattack.kernels import LINEAR, POLY, RBF, KernelSpec
+from gpattack import membership
 from gpattack.membership import (
+    FEATURE_ORDER,
     LATENT_MEAN,
     MEAN,
     MEMBER,
@@ -207,16 +209,43 @@ def _ref_build_tree(X, y, depth, n_sub, rng):
     )
 
 
-def reference_forest(ds, trees, max_depth, seed):
-    """The recursive depth-first forest the flat one must reproduce for
-    f <= 2 features (for f >= 3 it draws feature subsets in another order)."""
+def _ref_build_tree_level_order(X, y, max_depth, n_sub, rng):
+    """`_ref_build_tree` grown breadth first: every node that is not a leaf
+    by depth or purity draws its features when its level is reached, left
+    to right."""
+    root = _RefNode()
+    level = [(root, X, y)]
+    for depth in range(max_depth, -1, -1):
+        below = []
+        for node, X_node, y_node in level:
+            found = None
+            if depth > 0 and not np.all(y_node == y_node[0]):
+                features = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
+                found = _ref_best_split(X_node, y_node, features)
+            if found is None:
+                node.leaf = _ref_majority(y_node)
+                continue
+            _, node.feature, node.threshold = found
+            mask = X_node[:, node.feature] <= node.threshold
+            node.left, node.right = _RefNode(), _RefNode()
+            below += [(node.left, X_node[mask], y_node[mask]), (node.right, X_node[~mask], y_node[~mask])]
+        level = below
+    return root
+
+
+def reference_forest(ds, trees, max_depth, seed, grow=_ref_build_tree):
+    """The forest the flat one must reproduce, one tree at a time. The
+    default grows each tree depth first, which gives the flat forest's trees
+    for f <= 2 features and for f >= 3 stumps; deeper trees on f >= 3
+    features draw their feature subsets in level order, as
+    `grow=_ref_build_tree_level_order` does for any f."""
     X = ds.feature_rows
     n_sub = math.ceil(math.sqrt(X.shape[1]))
     forest = []
     for seq in np.random.SeedSequence(seed).spawn(trees):
         rng = np.random.default_rng(seq)
         idx = rng.integers(0, ds.m, size=ds.m)
-        forest.append(_ref_build_tree(X[idx], ds.membership_labels[idx], max_depth, n_sub, rng))
+        forest.append(grow(X[idx], ds.membership_labels[idx], max_depth, n_sub, rng))
     return forest
 
 
@@ -252,11 +281,11 @@ def flat_preorder(clf, i, out):
 
 
 @st.composite
-def forest_cases(draw):
-    """Rows on a coarse grid (so ties are common), optionally with a
-    constant column, labels holding both classes, and five query rows on
-    the same grid."""
-    f = draw(st.integers(1, 2))
+def forest_cases(draw, widths=st.integers(1, 2)):
+    """Rows of `widths` columns on a coarse grid (so ties are common),
+    optionally with a constant column, labels holding both classes, and five
+    query rows on the same grid."""
+    f = draw(widths)
     m = draw(st.integers(2, 40))
     value = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
     rows = np.array(draw(st.lists(value, min_size=m * f, max_size=m * f))).reshape(m, f)
@@ -267,9 +296,15 @@ def forest_cases(draw):
     labels[draw(st.integers(0, m - 1))] = NON_MEMBER
     if labels.min() == labels.max():
         labels[0] = NON_MEMBER if labels[0] == MEMBER else MEMBER
-    features = (MEAN, VARIANCE)[:f]
+    features = FEATURE_ORDER[: min(f, 4)]  # raw_input spans the columns past the third
     queries = np.array(draw(st.lists(value, min_size=5 * f, max_size=5 * f))).reshape(5, f)
     return toy_dataset(rows, labels, features), queries
+
+
+def assert_same_forest(clf, forest, rows):
+    for t, tree in enumerate(forest):
+        assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
+    assert np.array_equal(clf.predict(rows), reference_predict(forest, rows))
 
 
 class TestForestMatchesReference:
@@ -279,10 +314,35 @@ class TestForestMatchesReference:
         ds, queries = case
         clf = train_attack_classifier(ds, trees=trees, max_depth=max_depth, seed=seed)
         forest = reference_forest(ds, trees, max_depth, seed)
-        for t, tree in enumerate(forest):
-            assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
-        rows = np.vstack([ds.feature_rows, queries])
-        assert np.array_equal(clf.predict(rows), reference_predict(forest, rows))
+        assert_same_forest(clf, forest, np.vstack([ds.feature_rows, queries]))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(forest_cases(st.integers(3, 5)), st.integers(1, 11), st.integers(2, 6), st.integers(0, 2**16))
+    def test_wide_forest_equals_level_order_reference(self, case, trees, max_depth, seed):
+        ds, queries = case
+        clf = train_attack_classifier(ds, trees=trees, max_depth=max_depth, seed=seed)
+        forest = reference_forest(ds, trees, max_depth, seed, grow=_ref_build_tree_level_order)
+        assert_same_forest(clf, forest, np.vstack([ds.feature_rows, queries]))
+
+    def test_group_past_sixteen_bit_sort_keys_equals_reference(self, monkeypatch):
+        # one tree of 70,000 bootstrap rows with about as many distinct
+        # values per feature: its (tree, value) keys need more than 16 bits
+        key_max = []
+
+        def spy(keys):
+            key_max.append(int(keys.max()))
+            return stable_order(keys)
+
+        stable_order = membership._stable_order
+        monkeypatch.setattr(membership, "_stable_order", spy)
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(70_000, 3))
+        labels = np.where(rows[:, 0] - rows[:, 2] + rng.normal(size=70_000) > 0, MEMBER, NON_MEMBER)
+        ds = toy_dataset(rows, labels, (MEAN, VARIANCE, LATENT_MEAN))
+        clf = train_attack_classifier(ds, trees=1, max_depth=3, seed=2)
+        assert key_max[0] >= 2**16
+        forest = reference_forest(ds, 1, 3, 2, grow=_ref_build_tree_level_order)
+        assert_same_forest(clf, forest, rows[:500])
 
     def test_forest_spanning_several_groups_equals_recursive(self):
         # 60 trees of 400 bootstrap rows exceed one group of trees grown together
@@ -291,10 +351,7 @@ class TestForestMatchesReference:
         labels = np.where(rows[:, 0] + rng.normal(size=400) > 0, MEMBER, NON_MEMBER)
         ds = toy_dataset(rows, labels, (MEAN, VARIANCE))
         clf = train_attack_classifier(ds, trees=60, max_depth=4, seed=5)
-        forest = reference_forest(ds, 60, 4, 5)
-        for t, tree in enumerate(forest):
-            assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
-        assert np.array_equal(clf.predict(rows), reference_predict(forest, rows))
+        assert_same_forest(clf, reference_forest(ds, 60, 4, 5), rows)
 
     def test_three_feature_stumps_match_reference(self):
         # f >= 3 draws per-node feature subsets in level order, so deeper
