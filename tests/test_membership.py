@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpattack import membership
 from gpattack.data import Dataset, generate_blobs, split
 from gpattack.gp import fit_classification_laplace, fit_regression
 from gpattack.kernels import LINEAR, POLY, RBF, KernelSpec
-from gpattack import membership
 from gpattack.membership import (
     FEATURE_ORDER,
     LATENT_MEAN,
@@ -328,12 +328,12 @@ class TestForestMatchesReference:
         # one tree of 70,000 bootstrap rows with about as many distinct
         # values per feature: its (tree, value) keys need more than 16 bits
         key_max = []
+        stable_order = membership._stable_order
 
         def spy(keys):
             key_max.append(int(keys.max()))
             return stable_order(keys)
 
-        stable_order = membership._stable_order
         monkeypatch.setattr(membership, "_stable_order", spy)
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(70_000, 3))
