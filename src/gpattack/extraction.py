@@ -74,14 +74,14 @@ class ModelOracle:
         return cls(query_fn)
 
     def query(self, x) -> tuple[float, float]:
-        """(mean, variance) at x. A NaN or infinite point raises ValueError
-        and is not counted."""
+        """(mean, variance) at x. Only answered queries are counted: a NaN
+        or infinite point, or one the model refuses, raises ValueError."""
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(f"query point is not finite: {x.tolist()}")
+        mean, variance = self._query_fn(x)
         with self._lock:
             self._count += 1
-        mean, variance = self._query_fn(x)
         return float(mean), float(variance)
 
     @property
@@ -186,6 +186,10 @@ def _observed_means(oracle: ModelOracle, points: np.ndarray) -> np.ndarray:
     return np.array([oracle.query(p)[0] for p in points])
 
 
+SCAN_POINTS = 64  # log-spaced candidate lengthscales in the analytic scan
+RESIDUAL_TOL = 1e-8  # the worst probe residual below which a root has converged
+
+
 def extract_lengthscale_analytic(
     oracle: ModelOracle,
     train_data: Dataset,
@@ -193,20 +197,18 @@ def extract_lengthscale_analytic(
     search_interval: tuple[float, float],
     variance: float = 1.0,
     seed: int = 0,
-    scan_points: int = 64,
-    residual_tol: float = 1e-8,
 ) -> ExtractionReport:
     """Recover a noiseless RBF victim's lengthscale from two oracle queries.
 
     The residual r(l) compares the observed mean at a probe against a local
     refit on the known training data with candidate l; the true lengthscale
     is a common root of both probes' residuals. Roots are isolated by a
-    log-spaced scan plus bisection on log l, run on each residual (one probe
-    can have a tangent root that never changes sign; the other then supplies
-    the bracket), and every candidate root must agree with both observations
-    before it counts as converged. The scan and the final check read both
-    residuals from one refit per candidate; each bisection refits for its
-    own residual only.
+    log-spaced scan of SCAN_POINTS lengthscales plus bisection on log l, run
+    on each residual (one probe can have a tangent root that never changes
+    sign; the other then supplies the bracket), and a candidate root counts
+    as converged once both residuals there are below RESIDUAL_TOL. The scan
+    and the final check read both residuals from one refit per candidate;
+    each bisection refits for its own residual only.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not 0 < lo < hi:
@@ -228,7 +230,7 @@ def extract_lengthscale_analytic(
         gp = fit_regression(spec, train_data, jitter, gram=path.gram(spec))
         return tuple(observed[k] - latent_mean(gp, probes[k]) for k in which)
 
-    grid = np.geomspace(lo, hi, scan_points)
+    grid = np.geomspace(lo, hi, SCAN_POINTS)
     scan = np.array([residuals(l) for l in grid])
     candidates: list[float] = []
     for k, values in enumerate(scan.T):
@@ -253,7 +255,7 @@ def extract_lengthscale_analytic(
     best: tuple[float, float, bool] | None = None
     for root in candidates:
         worst = max(abs(r) for r in residuals(root))
-        ok = worst < residual_tol
+        ok = worst < RESIDUAL_TOL
         if best is None or worst < best[1]:
             best = (root, worst, ok)
         if ok:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
@@ -69,10 +70,10 @@ class NumericalError(RuntimeError):
         self.iteration = iteration
 
 
-def _cholesky_lower(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Lower Cholesky factor of `matrix`, which is left as it is unless
-    `overwrite` is set: then a Fortran-ordered float matrix is factored in place."""
-    chol, info = dpotrf(matrix, lower=1, overwrite_a=overwrite)
+def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of `matrix`, factored in place when it is a
+    Fortran-ordered float matrix (its lower triangle then holds the factor)."""
+    chol, info = dpotrf(matrix, lower=1, overwrite_a=True)
     if info != 0:
         raise FactorizationError(int(info))
     return chol
@@ -139,29 +140,24 @@ class Prediction:
 
 @dataclass(frozen=True, eq=False)
 class TrainedGP:
-    """Immutable fitted model.
+    """Immutable fitted model: only what its fit decides.
 
     `alpha` are the representer weights: the latent mean at x is
     K(x, train)^T alpha, with K built with `jitter` added to its diagonal.
-    `chol` is the lower Cholesky factor of K for regression, or of
-    B = I + sqrt(W) K sqrt(W) for classification, where `sqrt_w` is the
-    square root of the logistic Hessian W at the latent mode `latent_mode`.
-    `latent_mode` and `sqrt_w` are None for regression. `load_gp` rebuilds
-    `chol` and `sqrt_w` from the other fields.
+    `latent_mode` is the latent posterior mode for classification and None
+    for regression. `factor` derives from these fields.
     """
 
     spec: KernelSpec
     train_features: np.ndarray
     train_labels: np.ndarray
-    chol: np.ndarray
     alpha: np.ndarray
     jitter: float
     mode: str
     latent_mode: np.ndarray | None = None
-    sqrt_w: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("train_features", "train_labels", "chol", "alpha", "latent_mode", "sqrt_w"):
+        for name in ("train_features", "train_labels", "alpha", "latent_mode"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, frozen_array(value))
@@ -173,6 +169,21 @@ class TrainedGP:
     @property
     def d(self) -> int:
         return self.train_features.shape[1]
+
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(chol, sqrt_w), read-only and built on the first predictive variance,
+        bit for bit the fit's: chol factors K for regression (sqrt_w None), or
+        B = I + sqrt(W) K sqrt(W) with W the logistic Hessian at `latent_mode`."""
+        K = _jittered_gram(self.spec, self.train_features, self.jitter)
+        if self.mode == REGRESSION:
+            chol, sw = _cholesky_lower(K.T), None
+        else:
+            _, _, sw, chol = _laplace_factor(K, self.latent_mode)
+        for array in (chol, sw):
+            if array is not None:
+                array.flags.writeable = False
+        return chol, sw
 
 
 def _default_jitter(spec: KernelSpec, jitter: float | None) -> float:
@@ -204,7 +215,7 @@ def _laplace_factor(K: np.ndarray, f: np.ndarray, out: np.ndarray | None = None)
     B = np.multiply(sw[:, None], K.T, out=np.empty(K.shape, order="F") if out is None else out)
     B *= sw
     B.flat[:: len(f) + 1] += 1.0
-    return pi, w, sw, _cholesky_lower(B, overwrite=True)
+    return pi, w, sw, _cholesky_lower(B)
 
 
 def fit_regression(
@@ -219,13 +230,11 @@ def fit_regression(
     jitter = _default_jitter(spec, jitter)
     K = _jittered_gram(spec, data.features, jitter, gram)
     # K is exactly symmetric, so K.T is its Fortran view: dpotrf factors it in place, with no copy
-    chol = _cholesky_lower(K.T, overwrite=True)
-    alpha = dpotrs(chol, data.labels, lower=1)[0]
+    alpha = dpotrs(_cholesky_lower(K.T), data.labels, lower=1)[0]
     return TrainedGP(
         spec=spec,
         train_features=data.features,
         train_labels=data.labels,
-        chol=chol,
         alpha=alpha,
         jitter=jitter,
         mode=REGRESSION,
@@ -306,18 +315,14 @@ def fit_classification_laplace(
         if change < tol:
             break
 
-    # TrainedGP keeps a copy of the factor, so B serves once more
-    _, _, sw, chol_b = _laplace_factor(K, f, B)
     return TrainedGP(
         spec=spec,
         train_features=data.features,
         train_labels=data.labels,
-        chol=chol_b,
         alpha=a,
         jitter=jitter,
         mode=CLASSIFICATION,
         latent_mode=f,
-        sqrt_w=sw,
     )
 
 
@@ -370,14 +375,10 @@ def predict_batch(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
     X = _query_matrix(gp, X)
     k_star = kernel_matrix(gp.spec, X, gp.train_features)
     means = k_star @ gp.alpha
-    prior = self_similarity(gp.spec, X)
-    if gp.mode == REGRESSION:
-        solved = cho_solve((gp.chol, True), k_star.T)
-        reduction = np.einsum("ij,ji->i", k_star, solved)
-    else:
-        u = solve_triangular(gp.chol, gp.sqrt_w[:, None] * k_star.T, lower=True)
-        reduction = (u**2).sum(axis=0)
-    variances = np.maximum(prior - reduction, 0.0)
+    # v = L \ (sqrt(W) k*), with sqrt(W) = I for regression (R&W Alg. 2.1, 3.2)
+    chol, sw = gp.factor
+    v = solve_triangular(chol, k_star.T if sw is None else sw[:, None] * k_star.T, lower=True)
+    variances = np.maximum(self_similarity(gp.spec, X) - (v**2).sum(axis=0), 0.0)
     return means, variances
 
 
@@ -498,7 +499,7 @@ def _stored_array(payload: dict, key: str, shape: tuple | None = None) -> np.nda
 
 
 def load_gp(path) -> TrainedGP:
-    """Reload a model saved by save_gp; factorizations are recomputed exactly.
+    """Reload a model saved by save_gp; its factor is rebuilt on first use.
 
     A file save_gp could not have written raises ValueError: an unknown
     mode, arrays of the wrong shape, non-finite values, a non-positive
@@ -525,13 +526,8 @@ def load_gp(path) -> TrainedGP:
     if not (np.isfinite(jitter) and jitter > 0):
         raise ValueError(f"model file: jitter {jitter!r} is not a positive number")
     K = _jittered_gram(spec, features, jitter)
-    if mode == REGRESSION:
-        f = sw = None
-        target = labels
-        chol = _cholesky_lower(K)
-    else:
-        f = target = _stored_array(payload, "latent_mode", (n,))
-        _, _, sw, chol = _laplace_factor(K, f)
+    f = None if mode == REGRESSION else _stored_array(payload, "latent_mode", (n,))
+    target = labels if f is None else f
     residual = np.abs(K @ alpha - target).max()
     scale = np.abs(K).sum(axis=1).max() * np.abs(alpha).max() + np.abs(target).max()
     if not residual <= _ALPHA_RTOL * scale:
@@ -540,10 +536,8 @@ def load_gp(path) -> TrainedGP:
         spec=spec,
         train_features=features,
         train_labels=labels,
-        chol=chol,
         alpha=alpha,
         jitter=jitter,
         mode=mode,
         latent_mode=f,
-        sqrt_w=sw,
     )

@@ -87,7 +87,7 @@ def _canonical_feature_set(feature_set) -> tuple[str, ...]:
 
 
 def _feature_rows(gp: TrainedGP, points: np.ndarray, feature_set: tuple[str, ...]) -> np.ndarray:
-    # the predictive variance costs a solve against the n x n factor
+    # the predictive variance costs a solve against the n x n factor (built on first use)
     if VARIANCE in feature_set:
         means, variances = predict_batch(gp, points)
     else:

@@ -112,6 +112,16 @@ class TestModelOracle:
         assert oracle.query_count == 1
         assert len(oracle.asked) == 1
 
+    @pytest.mark.parametrize(
+        "point", [np.zeros(3), np.zeros((1, 2)), np.float64(0.0)], ids=["wrong-dimension", "matrix", "scalar"]
+    )
+    def test_refused_query_not_counted(self, point):
+        oracle = ModelOracle.from_gp(regression_victim()[0])
+        oracle.query(np.zeros(2))
+        with pytest.raises(ValueError):
+            oracle.query(point)
+        assert oracle.query_count == 1
+
     def test_concurrent_counting(self):
         oracle = ModelOracle(lambda x: (0.0, 1.0))
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -191,14 +201,14 @@ class TestLengthscaleExtraction:
         gp, data = regression_victim(lengthscale=1.3)
         # no root in the interval: the scan is all the work done
         with pytest.raises(BracketingError):
-            extract_lengthscale_analytic(ModelOracle.from_gp(gp), data, 1e-8, (5.0, 10.0), scan_points=40)
-        assert refit_lengths == list(np.geomspace(5.0, 10.0, 40))
+            extract_lengthscale_analytic(ModelOracle.from_gp(gp), data, 1e-8, (5.0, 10.0))
+        assert refit_lengths == list(np.geomspace(5.0, 10.0, extraction.SCAN_POINTS))
 
         refit_lengths.clear()
-        report = extract_lengthscale_analytic(ModelOracle.from_gp(gp), data, 1e-8, (0.1, 10.0), scan_points=64)
-        grid = list(np.geomspace(0.1, 10.0, 64))
-        assert refit_lengths[:64] == grid
-        assert sum(length in grid for length in refit_lengths) == 64
+        report = extract_lengthscale_analytic(ModelOracle.from_gp(gp), data, 1e-8, (0.1, 10.0))
+        grid = list(np.geomspace(0.1, 10.0, extraction.SCAN_POINTS))
+        assert refit_lengths[: len(grid)] == grid
+        assert sum(length in grid for length in refit_lengths) == len(grid)
         assert report.converged
 
     @pytest.mark.parametrize("seed", range(6))

@@ -1,11 +1,15 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpattack import gp as gp_module
 from gpattack.data import Dataset, generate_blobs, generate_two_moons, split
+from gpattack.extraction import ModelOracle
 from gpattack.gp import (
     CLASSIFICATION,
     REJECT,
@@ -476,3 +480,86 @@ class TestSerialization:
         path = self.corrupted(tmp_path, lambda p: p.update(alpha=other.alpha.tolist()))
         with pytest.raises(ValueError, match="does not reproduce"):
             load_gp(path)
+
+
+@pytest.fixture
+def dpotrf_calls(monkeypatch):
+    """The number of Cholesky factorizations gp has made since the test
+    began, counted on `gp.dpotrf`, the name the benchmark tracer wraps."""
+    calls = []
+    real = gp_module.dpotrf
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp_module, "dpotrf", counting)
+    return lambda: len(calls)
+
+
+MOONS = generate_two_moons(40, 0.15, 3)
+FITS = {
+    "regression": lambda: fit_regression(KernelSpec(RBF, lengthscale=0.4), MOONS, 1e-6),
+    "classification": lambda: fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS),
+}
+
+
+class TestFactorOnFirstUse:
+    def test_laplace_fit_factors_once_per_newton_iteration(self, dpotrf_calls):
+        history = []
+        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS, objective_history=history)
+        # one objective before the loop and one per accepted Newton step
+        assert dpotrf_calls() == len(history) - 1 > 1
+        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS, max_iter=3)
+        assert dpotrf_calls() == len(history) - 1 + 3
+        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS, max_iter=0)
+        assert dpotrf_calls() == len(history) - 1 + 3
+
+    @pytest.mark.parametrize("mode", FITS)
+    def test_only_a_variance_builds_the_factor(self, dpotrf_calls, mode):
+        gp = FITS[mode]()
+        fitted = dpotrf_calls()
+        q = np.array([0.5, 0.2])
+        latent_mean_batch(gp, MOONS.features)
+        accuracy(gp, MOONS)
+        latent_mean(gp, q)
+        latent_gradient(gp, q)
+        assert dpotrf_calls() == fitted
+        first = predict(gp, q)
+        assert dpotrf_calls() == fitted + 1
+        assert predict(gp, q) == first
+        predict_batch(gp, MOONS.features)
+        assert dpotrf_calls() == fitted + 1
+        for array in gp.factor:
+            assert array is None or not array.flags.writeable
+
+    @pytest.mark.parametrize("mode", FITS)
+    def test_a_loaded_model_factors_on_its_first_variance(self, tmp_path, dpotrf_calls, mode):
+        gp = FITS[mode]()
+        path = tmp_path / "model.json"
+        save_gp(gp, path)
+        before = dpotrf_calls()
+        loaded = load_gp(path)
+        accuracy(loaded, MOONS)
+        assert dpotrf_calls() == before
+        predict(loaded, [0.5, 0.2])
+        assert dpotrf_calls() == before + 1
+        for mine, theirs in zip(loaded.factor, gp.factor):
+            assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("mode", FITS)
+    def test_a_fresh_model_answers_threads_as_it_answers_one(self, mode):
+        # Python 3.12 dropped cached_property's lock: two threads may then
+        # build the factor at once, and both builds are equal
+        queries = np.random.default_rng(5).uniform(-1.5, 2.5, size=(64, 2))
+        serial = ModelOracle.from_gp(FITS[mode]())
+        expected = [serial.query(q) for q in queries]
+        oracle = ModelOracle.from_gp(FITS[mode]())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(oracle.query, queries, timeout=60)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert oracle.query_count == serial.query_count == len(queries)
