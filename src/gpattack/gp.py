@@ -174,12 +174,14 @@ class TrainedGP:
     def factor(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(chol, sqrt_w), read-only and built on the first predictive variance,
         bit for bit the fit's: chol factors K for regression (sqrt_w None), or
-        B = I + sqrt(W) K sqrt(W) with W the logistic Hessian at `latent_mode`."""
+        B = I + sqrt(W) K sqrt(W) with W the logistic Hessian at `latent_mode`.
+        Either is built and factored in K's own buffer, so the model holds one
+        n x n array from its first variance on."""
         K = _jittered_gram(self.spec, self.train_features, self.jitter)
         if self.mode == REGRESSION:
             chol, sw = _cholesky_lower(K.T), None
         else:
-            _, _, sw, chol = _laplace_factor(K, self.latent_mode)
+            _, _, sw, chol = _laplace_factor(K, self.latent_mode, out=K.T)
         for array in (chol, sw):
             if array is not None:
                 array.flags.writeable = False
@@ -194,12 +196,18 @@ def _default_jitter(spec: KernelSpec, jitter: float | None) -> float:
     return float(jitter)
 
 
+def _diagonal(matrix: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of a C- or F-contiguous square matrix:
+    element (i, i) lies i * (n + 1) elements past the first in either order."""
+    return matrix.ravel(order="K")[:: len(matrix) + 1]
+
+
 def _jittered_gram(spec: KernelSpec, X: np.ndarray, jitter: float, gram: np.ndarray | None = None) -> np.ndarray:
     """K(X, X) + jitter*I, built in `gram` when that already holds K(X, X)."""
     K = kernel_matrix(spec, X, X) if gram is None else gram
     if K.shape != (len(X), len(X)):
         raise ValueError(f"gram has shape {K.shape}, expected {(len(X), len(X))}")
-    K[np.diag_indices_from(K)] += jitter
+    _diagonal(K)[:] += jitter
     return K
 
 
@@ -207,14 +215,15 @@ def _laplace_factor(K: np.ndarray, f: np.ndarray, out: np.ndarray | None = None)
     """Laplace quantities at latent values f (Rasmussen & Williams 2006,
     Alg. 3.1): the logistic probabilities pi, the Hessian diagonal W, its
     square root, and the lower Cholesky factor of B = I + sqrt(W) K sqrt(W).
-    B is built from K.T, as K is exactly symmetric, in `out` (Fortran-ordered)
-    or a fresh array, and factored in place."""
+    B is built from K.T, as K is exactly symmetric, in `out` or a fresh array,
+    and factored in place. `out` must be Fortran-ordered; it may be K.T itself,
+    which then holds the factor in place of K."""
     pi = expit(f)
     w = pi * (1.0 - pi)
     sw = np.sqrt(w)
     B = np.multiply(sw[:, None], K.T, out=np.empty(K.shape, order="F") if out is None else out)
     B *= sw
-    B.flat[:: len(f) + 1] += 1.0
+    _diagonal(B)[:] += 1.0
     return pi, w, sw, _cholesky_lower(B)
 
 
@@ -371,14 +380,23 @@ def latent_mean(gp: TrainedGP, x) -> float:
 
 
 def predict_batch(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
-    """Latent means and clamped predictive variances for each row of X."""
+    """Latent means and clamped predictive variances for each row of X.
+
+    The factor is built (on a model's first variance) before the R x n query
+    block, and the variances are solved in that block's own buffer, so a
+    prediction of R rows holds one R x n array beside the model's factor."""
     X = _query_matrix(gp, X)
+    chol, sw = gp.factor
     k_star = kernel_matrix(gp.spec, X, gp.train_features)
     means = k_star @ gp.alpha
-    # v = L \ (sqrt(W) k*), with sqrt(W) = I for regression (R&W Alg. 2.1, 3.2)
-    chol, sw = gp.factor
-    v = solve_triangular(chol, k_star.T if sw is None else sw[:, None] * k_star.T, lower=True)
-    variances = np.maximum(self_similarity(gp.spec, X) - (v**2).sum(axis=0), 0.0)
+    # v = L \ (sqrt(W) k*), with sqrt(W) = I for regression (R&W Alg. 2.1, 3.2);
+    # k*.T is Fortran-ordered, so the solve overwrites it. The factor and X are
+    # already known finite, so the solve does not scan them again.
+    v = k_star.T
+    if sw is not None:
+        v *= sw[:, None]
+    v = solve_triangular(chol, v, lower=True, overwrite_b=True, check_finite=False)
+    variances = np.maximum(self_similarity(gp.spec, X) - np.square(v, out=v).sum(axis=0), 0.0)
     return means, variances
 
 
@@ -458,11 +476,15 @@ def accuracy(
     """
     if data.n < 1:
         raise ValueError("dataset must be nonempty")
+    return _scores(latent_mean_batch(gp, data.features), data.labels, policy)
+
+
+def _scores(means: np.ndarray, labels: np.ndarray, policy: RejectionPolicy | ZeroRejection | float | None) -> dict:
+    """`accuracy`'s report for the latent means at rows with these labels."""
     if policy is not None and not isinstance(policy, _Rejection):
         policy = ZeroRejection(float(policy))
-    means = latent_mean_batch(gp, data.features)
-    rejected = np.zeros(data.n, dtype=bool) if policy is None else policy.mask(means)
-    correct = ~rejected & (np.sign(means) == data.labels)
+    rejected = np.zeros(len(means), dtype=bool) if policy is None else policy.mask(means)
+    correct = ~rejected & (np.sign(means) == labels)
     return {"accuracy": float(correct.mean()), "reject_rate": float(rejected.mean())}
 
 

@@ -2,19 +2,30 @@
 the out-of-place expressions they replaced, with scalar and per-dimension
 RBF lengthscales. The extraction lengthscale path's Gram matrices equal
 kernel_matrix's, a fit on one equals the fit without it, and no buffer a
-fit or the path reuses leaks into a model."""
+fit or the path reuses leaks into a model. A model's factor is built in its
+Gram matrix's buffer and a prediction solves in its query block's buffer,
+with the bits of the copying formulas and no n x n or R x n copy."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from gpattack.data import Dataset
 from gpattack.extraction import _LengthscalePath
-from gpattack.gp import _jittered_gram, fit_classification_laplace, fit_regression
-from gpattack.kernels import RBF, KernelSpec, _kernel_gradient_block, kernel_matrix, scaled_sq_distances
+from gpattack.gp import _jittered_gram, _laplace_factor, fit_classification_laplace, fit_regression, predict_batch
+from gpattack.kernels import (
+    RBF,
+    KernelSpec,
+    _kernel_gradient_block,
+    kernel_matrix,
+    scaled_sq_distances,
+    self_similarity,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -64,6 +75,31 @@ def same_model(a, b) -> bool:
     return a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
 
 
+def fit(spec, data, mode):
+    return fit_regression(spec, data, 1e-8) if mode == "regression" else fit_classification_laplace(spec, data)
+
+
+def copying_prediction(gp, X):
+    """predict_batch's means and variances by the formula that copies k*."""
+    chol_l, sw = gp.factor
+    k = kernel_matrix(gp.spec, X, gp.train_features)
+    v = solve_triangular(chol_l, k.T if sw is None else sw[:, None] * k.T, lower=True)
+    return k @ gp.alpha, np.maximum(self_similarity(gp.spec, X) - (v**2).sum(0), 0.0)
+
+
+def traced_peak(call):
+    """call()'s result and the most memory it held at once beyond what was
+    allocated before it, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 @SETTINGS
 @given(point_sets())
 def test_rbf_block_equals_the_distance_formula(case):
@@ -109,6 +145,66 @@ def test_laplace_factor_equals_the_copying_factor(case):
     assert np.array_equal(chol_b, chol(B))
 
 
+@SETTINGS
+@given(point_sets(), st.integers(1, 40), st.sampled_from(["regression", "classification"]), st.integers(0, 2**32 - 1))
+def test_prediction_equals_the_copying_formula(case, rows, mode, seed):
+    data, _, specs = case
+    X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(rows, data.d))
+    gp = fit(specs[0], data, mode)
+    means, variances = predict_batch(gp, X)
+    expected_means, expected_variances = copying_prediction(gp, X)
+    assert np.array_equal(means, expected_means)
+    assert np.array_equal(variances, expected_variances)
+
+
+@SETTINGS
+@given(point_sets())
+def test_factor_in_the_gram_buffer_equals_the_copying_factor(case):
+    data, _, specs = case
+    gp = fit_classification_laplace(specs[0], data)
+    K = _jittered_gram(gp.spec, data.features, gp.jitter)
+    expected = _laplace_factor(K.copy(), gp.latent_mode)
+    in_place = _laplace_factor(K, gp.latent_mode, out=K.T)
+    assert np.shares_memory(in_place[3], K)
+    for got, want in zip(in_place, expected):
+        assert np.array_equal(got, want)
+    assert np.array_equal(gp.factor[0], expected[3])
+    assert np.array_equal(gp.factor[1], expected[2])
+
+
+@pytest.mark.parametrize("mode", ["regression", "classification"])
+def test_prediction_leaves_its_inputs_and_shares_no_memory(mode):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-2.0, 2.0, size=(30, 2))
+    gp = fit(KernelSpec(RBF, lengthscale=0.7), Dataset(X, np.where(X[:, 0] > 0, 1.0, -1.0)), mode)
+    queries = rng.uniform(-3.0, 3.0, size=(25, 2))
+    kept_queries = queries.copy()
+    kept = {name: np.copy(value) for name, value in arrays(gp).items()}
+    first = predict_batch(gp, queries)
+    second = predict_batch(gp, queries)
+    assert np.array_equal(queries, kept_queries)
+    assert all(np.array_equal(value, kept[name]) for name, value in arrays(gp).items())
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    for output in first:
+        assert not any(np.shares_memory(output, value) for value in [queries, *arrays(gp).values()])
+
+
+@pytest.mark.parametrize("mode", ["regression", "classification"])
+def test_factor_and_prediction_make_no_large_copies(mode):
+    # on 1-D points kernel_matrix allocates one block, which K then is; so
+    # building the factor holds one n x n array and a prediction of R rows
+    # one R x n array, beside some 130 kB of small arrays, where a copy of
+    # either block would double it
+    n, rows = 600, 400
+    X = np.linspace(-2.0, 2.0, n)[:, None]
+    gp = fit(KernelSpec(RBF, lengthscale=0.3), Dataset(X, np.where(X[:, 0] > 0, 1.0, -1.0)), mode)
+    (chol_l, _), peak = traced_peak(lambda: gp.factor)
+    assert peak < 1.5 * chol_l.nbytes
+    queries = np.linspace(-2.5, 2.5, rows)[:, None]
+    _, peak = traced_peak(lambda: predict_batch(gp, queries))
+    assert peak < 1.5 * rows * n * 8
+
+
 def test_models_keep_their_values_after_later_fits():
     rng = np.random.default_rng(9)
     X = rng.uniform(-2.0, 2.0, size=(15, 2))
@@ -121,7 +217,9 @@ def test_models_keep_their_values_after_later_fits():
         fit_regression(first, data, 1e-8, gram=path.gram(first)),
         fit_classification_laplace(first, data, gram=path.gram(first)),
     ]
+    queries = rng.uniform(-3.0, 3.0, size=(7, 2))
     kept = [{name: np.copy(value) for name, value in arrays(gp).items()} for gp in models]
+    predicted = [predict_batch(gp, queries) for gp in models]
 
     fit_regression(second, data, 1e-8)
     fit_classification_laplace(second, data)
@@ -129,13 +227,14 @@ def test_models_keep_their_values_after_later_fits():
     fit_classification_laplace(second, data, gram=path.gram(second))
 
     held = [*path._diffs, path._K, path._scratch]
-    for gp, fields_kept in zip(models, kept):
+    for gp, fields_kept, prediction in zip(models, kept, predicted):
         now = arrays(gp)
         assert now.keys() == fields_kept.keys()
         for name, copy in fields_kept.items():
             assert np.array_equal(now[name], copy)
             assert not now[name].flags.writeable
             assert not any(np.shares_memory(now[name], array) for array in held)
+        assert all(np.array_equal(a, b) for a, b in zip(predict_batch(gp, queries), prediction))
 
 
 @SETTINGS
