@@ -206,9 +206,13 @@ def extract_lengthscale_analytic(
     log-spaced scan of SCAN_POINTS lengthscales plus bisection on log l, run
     on each residual (one probe can have a tangent root that never changes
     sign; the other then supplies the bracket), and a candidate root counts
-    as converged once both residuals there are below RESIDUAL_TOL. The scan
-    and the final check read both residuals from one refit per candidate;
-    each bisection refits for its own residual only.
+    as converged once both residuals there are below RESIDUAL_TOL. The
+    candidates come per probe, the scan's exact zeros first and then its
+    sign changes, each checked as soon as it is refined: the first converged
+    one is the estimate and ends the search, and without one the estimate is
+    the candidate of least worst residual. The scan and each check read both
+    residuals from one refit per lengthscale; each bisection step refits for
+    its own residual only.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not 0 < lo < hi:
@@ -232,34 +236,38 @@ def extract_lengthscale_analytic(
 
     grid = np.geomspace(lo, hi, SCAN_POINTS)
     scan = np.array([residuals(l) for l in grid])
-    candidates: list[float] = []
-    for k, values in enumerate(scan.T):
-        candidates.extend(float(grid[i]) for i in np.flatnonzero(values == 0.0))
-        for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
-            log_lo, log_hi = np.log(grid[i]), np.log(grid[i + 1])
-            r_lo = values[i]
-            while (log_hi - log_lo) > 1e-13:
-                log_mid = 0.5 * (log_lo + log_hi)
-                (r_mid,) = residuals(float(np.exp(log_mid)), (k,))
-                if r_mid == 0.0:
-                    log_lo = log_hi = log_mid
-                    break
-                if np.sign(r_mid) == np.sign(r_lo):
-                    log_lo, r_lo = log_mid, r_mid
-                else:
-                    log_hi = log_mid
-            candidates.append(float(np.exp(0.5 * (log_lo + log_hi))))
-    if not candidates:
-        raise BracketingError(float(scan[0, 0]), float(scan[-1, 0]))
+
+    def candidates():
+        """Per probe, the scan's exact zeros, then each sign change bisected
+        on log l; each is refined only when the one before it has not
+        converged."""
+        for k, values in enumerate(scan.T):
+            yield from (float(grid[i]) for i in np.flatnonzero(values == 0.0))
+            for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
+                log_lo, log_hi = np.log(grid[i]), np.log(grid[i + 1])
+                r_lo = values[i]
+                while (log_hi - log_lo) > 1e-13:
+                    log_mid = 0.5 * (log_lo + log_hi)
+                    (r_mid,) = residuals(float(np.exp(log_mid)), (k,))
+                    if r_mid == 0.0:
+                        log_lo = log_hi = log_mid
+                        break
+                    if np.sign(r_mid) == np.sign(r_lo):
+                        log_lo, r_lo = log_mid, r_mid
+                    else:
+                        log_hi = log_mid
+                yield float(np.exp(0.5 * (log_lo + log_hi)))
 
     best: tuple[float, float, bool] | None = None
-    for root in candidates:
+    for root in candidates():
         worst = max(abs(r) for r in residuals(root))
         ok = worst < RESIDUAL_TOL
         if best is None or worst < best[1]:
             best = (root, worst, ok)
         if ok:
             break
+    if best is None:
+        raise BracketingError(float(scan[0, 0]), float(scan[-1, 0]))
     estimate, residual, converged = best
     return ExtractionReport(
         estimate=estimate,

@@ -45,9 +45,10 @@ FEATURE_ORDER = (MEAN, VARIANCE, LATENT_MEAN, RAW_INPUT)
 MEMBER = 1
 NON_MEMBER = 0
 
-# Trees grow in groups of at most this many bootstrap rows (at least one
-# tree each), so every per-level array of a group takes 64 kB or less
-# however many trees the forest has.
+# Trees grow in groups of at most this many bootstrap draws (but at least
+# one tree each), so a group holds at most this many distinct rows, and each
+# array of one feature's order, like the boundaries a level scores, takes
+# 64 kB of float64 or less however many trees the forest has.
 _GROUP_SAMPLES = 8192
 _TABLE = ("feature", "threshold", "left", "right", "leaf")
 
@@ -207,63 +208,81 @@ class AttackClassifier:
         return np.where(2 * votes > len(self.roots), MEMBER, NON_MEMBER)
 
 
-def _level_splits(X, rows, local, labels, size, ones, allowed, orders):
+def _ranges(first, lengths):
+    """The ranges first[i], ..., first[i] + lengths[i] - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
+
+
+def _sorted_feature(column, copies, member_copies, order):
+    """One feature of the held rows listed in `order`: their values, the
+    copies and member copies held before each position (one entry more
+    than positions, starting at 0), and the positions whose value is below
+    the next position's."""
+    values = column[order]
+    copies_before = np.concatenate(([0.0], np.cumsum(copies[order])))
+    members_before = np.concatenate(([0.0], np.cumsum(member_copies[order])))
+    return values, copies_before, members_before, np.flatnonzero(values[1:] > values[:-1])
+
+
+def _level_splits(features, start, stop, size, ones, allowed):
     """Best Gini split of every open node of one level.
 
-    `rows`/`labels` are the samples of the open nodes, `local` their node's
-    index among them, and `size`/`ones` each open node's sample and member
-    counts. `orders[j]` lists the samples by (node, value of feature j,
-    position), so it gives every node's sorted column as one segment; prefix
-    member counts within a segment score each boundary between distinct
-    values. A node keeps the first minimum over its boundaries and, across
-    features, the lowest feature index among equal Ginis, and splits at the
-    midpoint of the boundary's two values (at the lower one where the
-    midpoint rounds to the upper). `allowed[k, j]` says whether node k may
-    split on feature j (None: every feature). Returns the chosen feature (-1
-    where no boundary exists) and threshold per node.
+    Open node k holds positions start[k]:stop[k] of every order, and
+    `size`/`ones` are its copy and member-copy counts. `features[j]` is
+    feature j's `_sorted_feature`, in which each node's segment lists its
+    rows by value; its prefix sums score each boundary between distinct
+    values of a segment. A node keeps the first minimum over its boundaries
+    and, across features, the lowest feature index among equal Ginis, and
+    splits at the midpoint of the boundary's two values (at the lower one
+    where the midpoint rounds to the upper). `allowed[k, j]` says whether
+    node k may split on feature j (None: every feature). Returns the chosen
+    feature (-1 where no boundary exists), threshold and cut per node: the
+    rows at or below the threshold hold start:cut of the chosen feature's
+    order.
     """
     count = len(size)
-    starts = np.cumsum(size) - size
-    ones_before = np.cumsum(ones) - ones
     best_gini = np.full(count, np.inf)
     best_feature = np.full(count, -1, dtype=np.int32)
     best_threshold = np.zeros(count)
-    for j, order in enumerate(orders):
-        values = X[rows[order], j]
-        node = local[order]
-        cum = np.cumsum(labels[order])
-        boundary = np.flatnonzero((node[1:] == node[:-1]) & (values[1:] > values[:-1]))
-        at = node[boundary]
+    best_cut = np.zeros(count, dtype=start.dtype)
+    for j, (values, copies_before, members_before, rises) in enumerate(features):
+        lo = np.searchsorted(rises, start)
+        n_at = np.searchsorted(rises, stop - 1) - lo
         if allowed is not None:
-            keep = allowed[at, j]
-            boundary, at = boundary[keep], at[keep]
+            n_at[~allowed[:, j]] = 0
+        boundary = rises[_ranges(lo, n_at)]
         if len(boundary) == 0:
             continue
-        m = size[at]
-        left_n = (boundary - starts[at]) + 1.0
+        after = boundary + 1
+        m = np.repeat(size, n_at)
+        left_n = copies_before[after] - np.repeat(copies_before[start], n_at)
         right_n = m - left_n
-        left_ones = cum[boundary] - ones_before[at]
-        right_ones = ones[at] - left_ones
+        left_ones = members_before[after] - np.repeat(members_before[start], n_at)
+        right_ones = np.repeat(ones, n_at) - left_ones
         p_left = left_ones / left_n
         p_right = right_ones / right_n
         gini = (left_n * 2 * p_left * (1 - p_left) + right_n * 2 * p_right * (1 - p_right)) / m
-        del left_n, right_n, left_ones, right_ones, p_left, p_right, m, cum
-        # first minimum per node: boundaries are grouped by node in value order
-        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-        lowest = np.repeat(np.minimum.reduceat(gini, first), np.diff(np.append(first, len(at))))
-        hit = np.flatnonzero(gini == lowest)
-        hit = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
-        k, g, b = at[hit], gini[hit], boundary[hit]
+        del after, left_n, right_n, left_ones, right_ones, p_left, p_right, m
+        # first minimum per node: a node's boundaries run in value order
+        k = np.flatnonzero(n_at)
+        n_at = n_at[k]
+        offsets = np.cumsum(n_at) - n_at
+        g = np.minimum.reduceat(gini, offsets)
+        hit = np.flatnonzero(gini == np.repeat(g, n_at))
+        b = boundary[hit[np.searchsorted(hit, offsets)]]
         better = g < best_gini[k]
         k, b = k[better], b[better]
         best_gini[k] = g[better]
         best_feature[k] = j
+        best_cut[k] = b + 1
         low, high = values[b], values[b + 1]
         middle = 0.5 * (low + high)
         # the midpoint of two adjacent doubles (or of two huge ones) can
         # round to the larger value, which would send it left as well
         best_threshold[k] = np.where(middle < high, middle, low)
-    return best_feature, best_threshold
+    return best_feature, best_threshold, best_cut
 
 
 def _stable_order(keys):
@@ -273,56 +292,59 @@ def _stable_order(keys):
     return np.argsort(keys.astype(np.min_scalar_type(keys.max())), axis=-1, kind="stable")
 
 
-def _kept(orders, mask):
-    """Each of `orders` restricted to the samples `mask` keeps, renumbered to
-    their positions among them."""
-    return (np.cumsum(mask) - 1)[orders[mask[orders]].reshape(len(orders), -1)]
-
-
 def _grow_group(X, ranks, labels, rngs, max_depth, first, table) -> int:
     """Grow one tree per generator in `rngs`, all together one depth at a
     time, appending each level's nodes to the lists in `table` with ids from
     `first` on. Returns the id after the last node.
 
-    `ranks[j]` holds each row's dense rank among the distinct values of
-    feature j. One stable sort per feature orders the group's samples by
-    (tree, value, position), and these orders travel from level to level:
-    the samples that leave are filtered out of them, and after the splits
-    one stable sort by child node re-partitions each, so every level's
-    `_level_splits` reads its (node, value, position) orders ready-made."""
+    A tree holds each distinct row of its bootstrap once, with its number
+    of copies. `ranks[j]` holds each row's dense rank among the distinct
+    values of feature j, and one stable sort per feature lists the group's
+    held rows by (tree, value, row): that feature's order. Every node of a
+    level is one segment, at the same positions in every order, so its
+    counts and each boundary's Gini come from prefix sums over an order. A
+    split keeps its rows at or below the threshold first in its feature's
+    order, which makes the children two segments; every other order is
+    stably re-partitioned within the split segments (and its prefix sums
+    taken again) only when some split of the level used another feature,
+    never with one feature. Leaves keep their segments, which no later level
+    reads."""
     m, f = X.shape
     n_sub = math.ceil(math.sqrt(f))
-    rows = np.concatenate([rng.integers(0, m, size=m) for rng in rngs]).astype(np.int32)
-    local = np.repeat(np.arange(len(rngs), dtype=np.int32), m)
-    tree_of = np.arange(len(rngs), dtype=np.int32)
-    orders = _stable_order(local * (ranks.max(axis=1, keepdims=True) + 1) + ranks[:, rows])
+    # tree t's draw of row i is t * m + i
+    draws = np.concatenate([t * m + rng.integers(0, m, size=m) for t, rng in enumerate(rngs)])
+    copies = np.bincount(draws, minlength=len(rngs) * m)
+    held = np.flatnonzero(copies)
+    tree, rows = np.divmod(held, m)
+    # float counts, exact below 2**53, keep the Gini arithmetic in one dtype
+    copies = copies[held].astype(float)
+    member_copies = copies * labels[rows]
+    start = np.searchsorted(held, np.arange(len(rngs)) * m)
+    stop = np.append(start[1:], len(held))
+    tree_of = np.arange(len(rngs))
+    orders = _stable_order(tree * (ranks.max(axis=1, keepdims=True) + 1) + ranks[:, rows])
+    columns = X[rows].T.copy()
+    features = [_sorted_feature(columns[j], copies, member_copies, orders[j]) for j in range(f)]
+    del draws, held, tree
     for depth in range(max_depth + 1):
-        count = len(tree_of)
-        y = labels[rows]
-        size = np.bincount(local, minlength=count)
-        ones = np.bincount(local, weights=y, minlength=count).astype(np.int64)
+        count = len(start)
+        _, copies_before, members_before, _ = features[0]
+        size = copies_before[stop] - copies_before[start]
+        ones = members_before[stop] - members_before[start]
         majority = np.where(2 * ones > size, MEMBER, NON_MEMBER)
         open_nodes = np.flatnonzero((ones > 0) & (ones < size)) if depth < max_depth else np.empty(0, dtype=int)
         feature = np.full(count, -1, dtype=np.int32)
         threshold = np.zeros(count)
+        cut = np.zeros(count, dtype=start.dtype)
         if len(open_nodes):
             allowed = None
             if n_sub < f:
                 allowed = np.zeros((len(open_nodes), f), dtype=bool)
                 for i, k in enumerate(open_nodes):
                     allowed[i, rngs[tree_of[k]].choice(f, size=n_sub, replace=False)] = True
-            position = np.full(count, -1, dtype=np.int32)
-            position[open_nodes] = np.arange(len(open_nodes), dtype=np.int32)
-            sample_open = position[local] >= 0
-            rows, local, y = rows[sample_open], position[local[sample_open]], y[sample_open]
-            orders = _kept(orders, sample_open)
-            del sample_open
-            split_feature, split_threshold = _level_splits(
-                X, rows, local, y, size[open_nodes], ones[open_nodes], allowed, orders
+            feature[open_nodes], threshold[open_nodes], cut[open_nodes] = _level_splits(
+                features, start[open_nodes], stop[open_nodes], size[open_nodes], ones[open_nodes], allowed
             )
-            feature[open_nodes] = split_feature
-            threshold[open_nodes] = split_threshold
-            local = open_nodes[local].astype(np.int32)
         split = feature >= 0
         n_split = int(split.sum())
         child = np.full(count, -1, dtype=np.int32)
@@ -335,13 +357,21 @@ def _grow_group(X, ranks, labels, rngs, max_depth, first, table) -> int:
         first += count
         if n_split == 0:
             return first
-        keep = split[local]
-        rows, local = rows[keep], local[keep]
-        orders = _kept(orders, keep)
-        del keep
-        go_right = ~(X[rows, feature[local]] <= threshold[local])
-        local = (child[local] - first + go_right).astype(np.int32)
-        orders = np.take_along_axis(orders, _stable_order(local[orders]), axis=1)
+        start, cut, stop, used = start[split], cut[split], stop[split], feature[split]
+        stale = [j for j in range(f) if np.any(used != j)]
+        if stale:
+            goes_left = np.zeros(len(rows), dtype=bool)
+            for j in np.unique(used):
+                on_j = used == j
+                goes_left[orders[j][_ranges(start[on_j], cut[on_j] - start[on_j])]] = True
+            inside = _ranges(start, stop - start)
+            left_key, right_key = np.repeat(start, stop - start), np.repeat(cut, stop - start)
+            for j in stale:
+                order = orders[j][inside]
+                orders[j][inside] = order[_stable_order(np.where(goes_left[order], left_key, right_key))]
+                features[j] = _sorted_feature(columns[j], copies, member_copies, orders[j])
+            del goes_left, inside, left_key, right_key
+        start, stop = np.column_stack((start, cut)).ravel(), np.column_stack((cut, stop)).ravel()
         tree_of = np.repeat(tree_of[split], 2)
     return first
 
@@ -356,11 +386,13 @@ def train_attack_classifier(
     A node becomes a leaf (majority vote, ties to non-member) at depth
     `max_depth`, when its rows share one label, or when no candidate feature
     separates them; otherwise it splits at the midpoint of the lowest-Gini
-    boundary. All trees grow together one depth at a time. With f features
-    and ceil(sqrt(f)) < f, every node that is not yet a leaf by depth or
-    purity draws its candidate features from its tree's generator, in level
-    order: depth by depth, left to right. With f <= 2 every node considers
-    every feature and nothing is drawn after the bootstrap.
+    boundary. The trees grow in groups, all of a group together one depth
+    at a time, each holding its distinct bootstrap rows once with a count,
+    on orders of them presorted once per feature (see `_grow_group`). With
+    f features and ceil(sqrt(f)) < f, every node that is not yet a leaf by
+    depth or purity draws its candidate features from its tree's generator,
+    in level order: depth by depth, left to right. With f <= 2 every node
+    considers every feature and nothing is drawn after the bootstrap.
     """
     if trees < 1 or max_depth < 1:
         raise ValueError("trees and max_depth must be at least 1")

@@ -211,6 +211,39 @@ class TestLengthscaleExtraction:
         assert sum(length in grid for length in refit_lengths) == len(grid)
         assert report.converged
 
+    def test_first_converged_candidate_ends_the_search(self, monkeypatch):
+        # both probes' residuals change sign once, at the true lengthscale,
+        # and the first probe's root converges: the second probe's bracket,
+        # which the eager reference bisects too, is never refit
+        refit_lengths = []
+        real_fit = extraction.fit_regression
+
+        def counting_fit(spec, data, jitter=None, **kwargs):
+            refit_lengths.append(spec.lengthscale)
+            return real_fit(spec, data, jitter, **kwargs)
+
+        gp, data = regression_victim(seed=6, lengthscale=1.3)
+        oracle = RecordingOracle(gp)
+        monkeypatch.setattr(extraction, "fit_regression", counting_fit)
+        report = extract_lengthscale_analytic(oracle, data, 1e-8, (0.1, 10.0))
+        monkeypatch.undo()
+
+        grid = np.geomspace(0.1, 10.0, extraction.SCAN_POINTS)
+        brackets = []
+        for probe, observed in zip(oracle.asked, oracle.means):
+            refits = (fit_regression(KernelSpec(RBF, lengthscale=l), data, 1e-8) for l in grid)
+            values = [observed - latent_mean(refit, probe) for refit in refits]
+            brackets += [(grid[i], grid[i + 1]) for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)]
+        assert len(brackets) == 2 and brackets[0] == brackets[1]
+        refined = refit_lengths[len(grid) :]
+        # one bisection of about 40 steps on the first probe's residual and
+        # one check, where the eager search bisects both brackets
+        assert len(refined) < 60
+        assert all(brackets[0][0] <= length <= brackets[0][1] for length in refined)
+        assert refined[-1] == report.estimate
+        estimate, residual = per_residual_estimate(oracle.asked, oracle.means, data, 1e-8, (0.1, 10.0))
+        assert (report.estimate, report.residual, report.converged) == (estimate, residual, True)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_residual_refits(self, seed):
         rng = np.random.default_rng(700 + seed)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -363,6 +364,54 @@ class TestForestMatchesReference:
         forest = reference_forest(ds, 7, 1, 11)
         for t, tree in enumerate(forest):
             assert flat_preorder(clf, clf.roots[t], []) == preorder(tree, [])
+
+
+def table_digest(clf):
+    """sha256 of the flat node table, in a fixed byte layout."""
+    h = hashlib.sha256()
+    for name in ("feature", "threshold", "left", "right", "leaf", "roots"):
+        h.update(getattr(clf, name).astype("<f8" if name == "threshold" else "<i4").tobytes())
+    return h.hexdigest()
+
+
+class TestForestTable:
+    def test_one_feature_is_sorted_once_per_group(self, monkeypatch):
+        # 60 trees of 400 rows grow in three groups; with one feature every
+        # split keeps its feature's order partitioned, so no level re-sorts
+        calls = []
+        stable_order = membership._stable_order
+
+        def spy(keys):
+            calls.append(keys.shape)
+            return stable_order(keys)
+
+        monkeypatch.setattr(membership, "_stable_order", spy)
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(400, 1))
+        labels = np.where(rows[:, 0] + rng.normal(size=400) > 0, MEMBER, NON_MEMBER)
+        clf = train_attack_classifier(toy_dataset(rows, labels), trees=60, max_depth=8, seed=3)
+        assert math.ceil(60 / (membership._GROUP_SAMPLES // 400)) == 3
+        assert [shape[0] for shape in calls] == [1, 1, 1]
+        # the trees are deep, so a sort per level would have shown
+        assert len(clf.feature) > 60 * 30
+
+    @pytest.mark.parametrize(
+        "f, digest",
+        [
+            (1, "892237e7b0678eeb6fe7a140766bf3950a07bb27ba164d044e8c9f2b483ce86f"),
+            (2, "84ec76f98a6e048b0f5c4c7cce0f71f4087ee98cc52869af452f18aa98d8bfeb"),
+            (3, "ea0cc69d66d2bc7e496602e84d90bbf89e01a2dfa295a7ce038cd65e351d4f74"),
+        ],
+    )
+    def test_flat_table_is_pinned(self, f, digest):
+        # tables of the CLI's forest shape (100 trees, depth 8, four groups)
+        # on rows with repeated values; the digests fix the table layout and
+        # every node in it
+        rng = np.random.default_rng(30 + f)
+        rows = np.round(rng.normal(size=(320, f)), 2)
+        labels = (rows.sum(axis=1) + rng.normal(size=320) > 0).astype(int)
+        ds = toy_dataset(rows, labels, FEATURE_ORDER[:f])
+        assert table_digest(train_attack_classifier(ds, trees=100, max_depth=8, seed=7)) == digest
 
 
 class TestEvaluateMembership:
