@@ -25,6 +25,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -213,10 +214,14 @@ class ExperimentConfig:
 def _check_type(field_name: str, value, default):
     """A config value must have the type of its default: an int default
     needs an int that is not a bool, a float default takes an int or a
-    float, and a list default's first item types every item."""
+    float, and a list default's first item types every item. A float must
+    be finite: NaN and infinity would pass the range checks or end up in
+    a report as tokens that are not JSON."""
     expected = {float: numbers.Real, int: numbers.Integral}.get(type(default), type(default))
     if isinstance(value, bool) or not isinstance(value, expected):
         raise ConfigError(field_name, f"expected {type(default).__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(field_name, f"must be finite, got {value!r}")
     if isinstance(default, list):
         for item in value:
             _check_type(field_name, item, default[0])

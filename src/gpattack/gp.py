@@ -11,6 +11,7 @@ through `class_probability`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,8 +120,8 @@ class ZeroRejection(_Rejection):
     eps: float = 1e-3
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("zero-rejection eps must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"zero-rejection eps must be nonnegative and finite, got {self.eps!r}")
 
     def mask(self, means) -> np.ndarray:
         means = np.asarray(means, dtype=float)
@@ -524,11 +525,12 @@ def load_gp(path) -> TrainedGP:
     """Reload a model saved by save_gp; its factor is rebuilt on first use.
 
     A file save_gp could not have written raises ValueError: an unknown
-    mode, arrays of the wrong shape, non-finite values, a non-positive
-    jitter, labels outside {-1, +1}, or an `alpha` that does not solve its
-    fit, (K + jitter I) alpha = labels for regression and
-    (K + jitter I) alpha = latent_mode for classification, each to the
-    relative tolerance _ALPHA_RTOL (1e-8).
+    mode, a kernel spec KernelSpec refuses (such as a non-finite
+    lengthscale, named in the message), arrays of the wrong shape,
+    non-finite values, a non-positive jitter, labels outside {-1, +1}, or
+    an `alpha` that does not solve its fit, (K + jitter I) alpha = labels
+    for regression and (K + jitter I) alpha = latent_mode for
+    classification, each to the relative tolerance _ALPHA_RTOL (1e-8).
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)

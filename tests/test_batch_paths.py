@@ -256,6 +256,23 @@ def test_attack_rows_equal_one_point_attacks(case, epsilon, budget, step, max_it
             assert (row.success, row.iterations_used) == (success, iterations)
 
 
+def test_gpjm_block_with_every_row_inactive_from_the_start():
+    # far from the data every kernel entry underflows to 0, so each mean is
+    # exactly 0, has no sign, and every round differentiates at zero rows
+    data = Dataset(np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0, 1.0]))
+    gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=(0.5, 0.7)), data)
+    queries = np.array([[60.0, -50.0], [-70.0, 80.0], [90.0, 90.0]])
+    assert not _latent_rows(gp, queries)[1].any()
+    lo, hi = gp.train_features.min(axis=0), gp.train_features.max(axis=0)
+    block = gpjm_batch(gp, queries, 2, 0.3)
+    assert len(block) == len(queries)
+    for x, row in zip(queries, block):
+        assert_same_result(row, gpjm(gp, x, 2, 0.3))
+        adversarial, success, iterations = reference_gpjm(gp, x, 2, 0.3, lo, hi)
+        assert row.adversarial.tobytes() == adversarial.tobytes()
+        assert (row.success, row.iterations_used) == (success, iterations) == (False, 0)
+
+
 def test_attack_blocks_name_the_non_finite_row():
     gp = fit_classification_laplace(KernelSpec(RBF), Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0])))
     X = np.array([[0.2], [0.4], [np.inf]])

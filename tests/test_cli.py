@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,28 @@ class TestConfig:
         cfg.validate()
         assert cfg.attack["epsilon"] == 1
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("zero_rejection_eps", {"zero_rejection_eps": math.nan}),
+            ("lengthscale_long", {"lengthscale_long": math.inf}),
+            ("lengthscale_short", {"lengthscale_short": -math.inf}),
+            ("train_fraction", {"train_fraction": math.nan}),
+            ("dataset.noise", {"dataset": {"noise": math.nan}}),
+            ("kernel.variance", {"kernel": {"variance": math.inf}}),
+            ("kernel.offset", {"kernel": {"family": "poly", "offset": math.nan}}),
+            ("rejection.tau0", {"rejection": {"tau0": math.nan}}),
+            ("attack.cw_confidence", {"attack": {"cw_confidence": math.inf}}),
+            ("extract.interval", {"extract": {"interval": [0.05, math.inf]}}),
+            ("secure.rho", {"secure": {"rho": math.nan}}),
+        ],
+    )
+    def test_non_finite_value_rejected_by_name(self, tmp_path, field, overrides):
+        # json writes and reads NaN and Infinity, though neither is JSON
+        config_path = write_config(tmp_path / "config.json", **overrides)
+        with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
+            load_config(str(config_path), {})
+
     def test_partial_section_merges_over_defaults(self):
         cfg = ExperimentConfig(attack={"points": 5})
         assert cfg.attack == {**ExperimentConfig().attack, "points": 5}
@@ -106,6 +129,13 @@ class TestMain:
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json")
+        code = main(["evade", "--config", str(config_path), "--epsilon", "nan", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'attack.epsilon': must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_train_writes_reports_and_manifest(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -251,6 +252,9 @@ class TestRejection:
             RejectionPolicy(0.3, 1.0)
         with pytest.raises(ValueError):
             ZeroRejection(-1e-3)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+                ZeroRejection(eps)
 
     def test_through_model(self):
         # single +1 anchor: latent mean at distance r is k(r)/(1 + jitter)
@@ -457,6 +461,13 @@ class TestSerialization:
     def test_nan_feature_rejected(self, tmp_path):
         path = self.corrupted(tmp_path, lambda p: p["train_features"][3].__setitem__(1, float("nan")))
         with pytest.raises(ValueError, match="non-finite"):
+            load_gp(path)
+
+    @pytest.mark.parametrize("lengthscale", [math.nan, [0.4, math.nan]])
+    def test_nan_lengthscale_rejected_by_name(self, tmp_path, lengthscale):
+        # the spec check runs first, before the alpha residual could fail on it
+        path = self.corrupted(tmp_path, lambda p: p["spec"].update(lengthscale=lengthscale))
+        with pytest.raises(ValueError, match="lengthscale.* finite"):
             load_gp(path)
 
     def test_label_outside_pm_one_rejected(self, tmp_path):

@@ -111,15 +111,31 @@ def test_rbf_block_equals_the_distance_formula(case):
     assert np.array_equal(kernel_matrix(spec, queries, data.features), spec.variance * np.exp(-0.5 * sq))
 
 
+@st.composite
+def gradient_cases(draw):
+    """Training rows, 0-5 query rows of which some may equal training rows,
+    and an RBF spec, in d = 1-9."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 9))
+    m = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    Q = rng.uniform(-3.0, 3.0, size=(m, d))
+    coincident = draw(st.lists(st.integers(0, n - 1), max_size=m))
+    Q[: len(coincident)] = X[coincident]
+    return X, Q, KernelSpec(RBF, lengthscale=draw(lengthscales(d)), variance=draw(st.floats(0.25, 4.0)))
+
+
 @SETTINGS
-@given(point_sets())
+@given(gradient_cases())
 def test_gradient_block_equals_the_closed_form(case):
-    data, queries, specs = case
-    spec = specs[0]
-    k = kernel_matrix(spec, queries, data.features)
-    ls = spec.lengthscales(data.d)
-    reference = k[:, :, None] * (-(queries[:, None, :] - data.features) / ls**2)
-    assert np.array_equal(_kernel_gradient_block(spec, queries, data.features), reference)
+    # bytes, not np.array_equal, so a coincident point's -0.0 must stay -0.0
+    X, Q, spec = case
+    k = kernel_matrix(spec, Q, X) if len(Q) else np.empty((0, len(X)))
+    reference = k[:, :, None] * (-(Q[:, None, :] - X) / spec.lengthscales(X.shape[1]) ** 2)
+    for block in (_kernel_gradient_block(spec, Q, X), _kernel_gradient_block(spec, Q, X, k)):
+        assert block.shape == reference.shape
+        assert block.tobytes() == reference.tobytes()
 
 
 @SETTINGS

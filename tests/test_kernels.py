@@ -59,8 +59,28 @@ class TestKernelSpec:
             KernelSpec(RBF, lengthscale=-1.0)
         with pytest.raises(ValueError):
             KernelSpec(RBF, variance=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(POLY, degree=0)
+        for degree in (0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                KernelSpec(POLY, degree=degree)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("lengthscale", {"lengthscale": math.nan}),
+            ("lengthscale", {"lengthscale": math.inf}),
+            ("lengthscale", {"lengthscale": (1.0, math.nan)}),
+            ("lengthscale", {"lengthscale": (math.inf, 2.0)}),
+            ("variance", {"variance": math.nan}),
+            ("variance", {"variance": math.inf}),
+            ("offset", {"offset": math.nan}),
+            ("offset", {"offset": -math.inf}),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, kwargs):
+        # NaN passes every comparison check, so only a finiteness test stops it
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match=f"{field}.* finite"):
+                KernelSpec(family, **kwargs)
 
     def test_per_dimension_lengthscale(self):
         spec = KernelSpec(RBF, lengthscale=(1.0, 2.0))
