@@ -180,6 +180,7 @@ class ExperimentConfig:
         interval = self.extract["interval"]
         if len(interval) != 2 or not 0 < interval[0] < interval[1]:
             raise ConfigError("extract.interval", f"need two numbers 0 < lo < hi, got {interval}")
+        _check("extract.interval", KernelSpec, RBF, lengthscale=tuple(interval))  # the search's RBF lengthscales
         # f*n*d probes meet the n*d+1 recovery bound for every n and d exactly when f >= 2
         factor = self.extract["recover_budget_factor"]
         if factor < 2:
@@ -204,7 +205,9 @@ class ExperimentConfig:
                 "lengthscale_short",
                 f"need 0 < short < long, got ({self.lengthscale_short}, {self.lengthscale_long})",
             )
-        _check("kernel", _spec, self, self.lengthscale_short)
+        _check("kernel", KernelSpec, **self.kernel)
+        for name in ("lengthscale_short", "lengthscale_long"):
+            _check(name, _spec, self, getattr(self, name))
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction", "must lie in (0, 1)")
         _check("zero_rejection_eps", ZeroRejection, self.zero_rejection_eps)
@@ -216,12 +219,19 @@ def _check_type(field_name: str, value, default):
     needs an int that is not a bool, a float default takes an int or a
     float, and a list default's first item types every item. A float must
     be finite: NaN and infinity would pass the range checks or end up in
-    a report as tokens that are not JSON."""
+    a report as tokens that are not JSON, and so must an int given for a
+    float: one too large for a double would fail in the stage that converts
+    it."""
     expected = {float: numbers.Real, int: numbers.Integral}.get(type(default), type(default))
     if isinstance(value, bool) or not isinstance(value, expected):
         raise ConfigError(field_name, f"expected {type(default).__name__}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(field_name, f"must be finite, got {value!r}")
+    if isinstance(default, float):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(field_name, "must be finite, got an int too large for a float") from None
+        if not finite:
+            raise ConfigError(field_name, f"must be finite, got {value!r}")
     if isinstance(default, list):
         for item in value:
             _check_type(field_name, item, default[0])
@@ -246,7 +256,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
                 payload = json.load(handle)
         except FileNotFoundError:
             raise ConfigError("config", f"file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise ConfigError("config", f"invalid JSON: {exc}") from None
     try:
         cfg = ExperimentConfig(**payload)

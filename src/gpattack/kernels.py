@@ -14,6 +14,7 @@ decision surface; long lengthscales give a flat one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,12 @@ class KernelSpec:
             if len(ls) == 0:
                 raise ValueError("per-dimension lengthscale vector must be nonempty")
         object.__setattr__(self, "lengthscale", ls)
-        if not all(map(_positive, ls if isinstance(ls, tuple) else (ls,))):
+        scales = ls if isinstance(ls, tuple) else (ls,)
+        if not all(map(_positive, scales)):
             raise ValueError(f"lengthscale(s) must be positive and finite, got {ls!r}")
+        # the RBF gradient divides by l^2; a subnormal square turns it into inf * 0 = NaN
+        if min(scales) ** 2 < sys.float_info.min:
+            raise ValueError(f"lengthscale(s) must be at least about 1.49e-154, so l^2 is a normal double, got {ls!r}")
         if not math.isfinite(self.degree) or int(self.degree) != self.degree or self.degree < 1:
             raise ValueError("degree must be an integer >= 1")
         object.__setattr__(self, "degree", int(self.degree))

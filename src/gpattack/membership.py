@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, frozen_array, rows_in
-from .gp import CLASSIFICATION, TrainedGP, accuracy as gp_accuracy, latent_mean_batch, predict_batch
+from .gp import CLASSIFICATION, TrainedGP, _logistic, accuracy as gp_accuracy, latent_mean_batch, predict_batch
 from .kernels import RBF, kernel_matrix, scaled_sq_distances
 
 __all__ = [
@@ -97,7 +96,7 @@ def _feature_rows(gp: TrainedGP, points: np.ndarray, feature_set: tuple[str, ...
     for name in feature_set:
         if name == MEAN:
             # the model's ordinary output: class probability for GPC
-            columns.append(expit(means) if gp.mode == CLASSIFICATION else means)
+            columns.append(_logistic(means) if gp.mode == CLASSIFICATION else means)
         elif name == VARIANCE:
             columns.append(variances)
         elif name == LATENT_MEAN:

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpattack
 from gpattack.cli import (
     CSV_DEFAULT_LONG,
     CSV_DEFAULT_SHORT,
@@ -90,6 +95,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path), {})
 
+    def test_int_past_the_digit_limit_rejected(self, tmp_path):
+        # json raises a plain ValueError, not a JSONDecodeError, for it
+        path = tmp_path / "config.json"
+        path.write_text('{"dataset": {"noise": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ConfigError, match="'config': invalid JSON"):
+            load_config(str(path), {})
+
     def test_int_accepted_where_default_is_float(self):
         cfg = ExperimentConfig(attack={"epsilon": 1}, extract={"interval": [1, 10]}, lengthscale_long=3)
         cfg.validate()
@@ -109,6 +121,7 @@ class TestConfig:
             ("attack.cw_confidence", {"attack": {"cw_confidence": math.inf}}),
             ("extract.interval", {"extract": {"interval": [0.05, math.inf]}}),
             ("secure.rho", {"secure": {"rho": math.nan}}),
+            ("dataset.noise", {"dataset": {"noise": 10**400}}),  # an int too large for a double
         ],
     )
     def test_non_finite_value_rejected_by_name(self, tmp_path, field, overrides):
@@ -116,6 +129,11 @@ class TestConfig:
         config_path = write_config(tmp_path / "config.json", **overrides)
         with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
             load_config(str(config_path), {})
+
+    def test_lengthscale_with_normal_square_accepted(self):
+        cfg = ExperimentConfig(lengthscale_short=1e-150)
+        cfg.validate()
+        assert cfg.lengthscale_short == 1e-150
 
     def test_partial_section_merges_over_defaults(self):
         cfg = ExperimentConfig(attack={"points": 5})
@@ -135,6 +153,14 @@ class TestMain:
         code = main(["evade", "--config", str(config_path), "--epsilon", "nan", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "'attack.epsilon': must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lengthscale_with_subnormal_square_exits_2(self, tmp_path, capsys):
+        # evade used to fail on a NaN point its own attack made, blaming a query
+        config_path = write_config(tmp_path / "config.json", lengthscale_short=1e-160)
+        code = main(["evade", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'lengthscale_short': lengthscale(s) must be at least" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_train_writes_reports_and_manifest(self, tmp_path):
@@ -176,6 +202,7 @@ class TestMain:
             {"dataset": {"generator": "blobs", "separation": "far"}},
             {"dataset": {"csv": 5, "label_column": "y"}},
             {"extract": {"recover_budget_factor": 1}},
+            {"extract": {"interval": [1e-160, 10.0]}},
         ],
         ids=[
             "unknown-key",
@@ -201,6 +228,7 @@ class TestMain:
             "string-separation",
             "int-csv-path",
             "budget-factor-one",
+            "interval-end-with-subnormal-square",
         ],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, section):
@@ -341,3 +369,23 @@ class TestMain:
                 assert manifest_without_timestamp(out_a / name) == manifest_without_timestamp(out_b / name)
             else:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_subcommands_run_without_scipy_special(tmp_path):
+    # scipy.special costs every process tens of milliseconds and megabytes to
+    # import; only extract needs it, through scipy.optimize
+    config_path = write_config(tmp_path / "config.json", dataset={"generator": "two_moons", "n": 40, "noise": 0.2})
+    script = (
+        "import sys\n"
+        "import gpattack.cli\n"
+        "for sub in ('train', 'evade', 'membership', 'secure-demo'):\n"
+        "    code = gpattack.cli.main([sub, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + sub])\n"
+        "    assert code == 0, (sub, code)\n"
+        "    assert 'scipy.special' not in sys.modules, sub\n"
+    )
+    source_root = str(Path(gpattack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(config_path), str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from gpattack import gp as gp_module
 from gpattack.data import Dataset, generate_blobs, generate_two_moons, split
@@ -102,6 +103,66 @@ class TestFitRegression:
         gp = fit_regression(spec, Dataset(X, y), 1e-8)
         flipped = fit_regression(spec, Dataset(X, -y), 1e-8)
         assert predict(gp, query).mean == pytest.approx(-predict(flipped, query).mean, abs=1e-10)
+
+
+# signed zeros, both sides of exp's overflow at -x = log(DBL_MAX), a link
+# that is subnormal (x = -709), and the ends of the float line
+LOGISTIC_EDGES = [
+    0.0,
+    -0.0,
+    -709.0,
+    709.782712893384,
+    -709.782712893384,
+    math.nextafter(-709.782712893384, -math.inf),
+    745.0,
+    -745.0,
+    -745.2,
+    1e308,
+    -1e308,
+    math.inf,
+    -math.inf,
+    math.nan,
+]
+
+
+def logistic_by_element(x):
+    """1 / (1 + exp(-x)) with the C library's exp, one Python float at a
+    time; an exp that overflows is infinite."""
+
+    def link(v):
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            return 0.0
+
+    return np.array([link(v) for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x))
+
+
+class TestLogistic:
+    @settings(derandomize=True)
+    @given(values=st.lists(st.floats(), max_size=40))
+    def test_matches_expit_and_the_formula_bit_for_bit(self, values):
+        x = np.array(values + LOGISTIC_EDGES)
+        got = gp_module._logistic(x).tobytes()
+        assert got == expit(x).tobytes()
+        assert got == logistic_by_element(x).tobytes()
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, -800.0, np.float64(2.5), np.array(-1.5), np.zeros(0), np.array(LOGISTIC_EDGES)],
+        ids=["float", "overflowing-float", "numpy-scalar", "0-d", "empty", "edges"],
+    )
+    def test_keeps_the_shape_of_every_input(self, x):
+        got = gp_module._logistic(x)
+        assert np.shape(got) == np.shape(x)
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(expit(x)).tobytes()
+
+    def test_class_probability_is_the_link_of_the_mean(self):
+        data = generate_two_moons(30, 0.2, 0)
+        gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.5), data)
+        p = predict(gp, np.array([0.2, 0.1]))
+        assert p.class_probability == expit(p.mean)
 
 
 class TestFitClassification:

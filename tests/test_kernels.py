@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from gpattack.kernels import (
     scaled_sq_distances,
     self_similarity,
 )
+
+# the least lengthscale whose square is a normal double
+SMALLEST_LENGTHSCALE = math.sqrt(sys.float_info.min)
 
 
 def reference_kernel(spec, x, x2):
@@ -81,6 +85,19 @@ class TestKernelSpec:
         for family in FAMILIES:
             with pytest.raises(ValueError, match=f"{field}.* finite"):
                 KernelSpec(family, **kwargs)
+
+    @pytest.mark.parametrize("lengthscale", [1e-160, (1.0, 1e-160), math.nextafter(SMALLEST_LENGTHSCALE, 0.0)])
+    def test_lengthscale_with_subnormal_square_rejected(self, lengthscale):
+        # the RBF gradient divides by l^2, and a subnormal l^2 makes it inf * 0 = NaN
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="lengthscale.*normal double"):
+                KernelSpec(family, lengthscale=lengthscale)
+
+    @pytest.mark.parametrize("lengthscale", [1e-150, SMALLEST_LENGTHSCALE])
+    def test_tiny_lengthscale_with_normal_square_accepted(self, lengthscale):
+        spec = KernelSpec(RBF, lengthscale=lengthscale)
+        X = np.array([[lengthscale, 0.0], [1.0, 1.0]])
+        assert np.isfinite(kernel_gradient_x_batch(spec, np.zeros(2), X)).all()
 
     def test_per_dimension_lengthscale(self):
         spec = KernelSpec(RBF, lengthscale=(1.0, 2.0))
