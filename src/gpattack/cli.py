@@ -36,7 +36,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import Dataset, generate_blobs, generate_two_moons, load_csv, split, write_json
+from .data import Dataset, _cut, _half, generate_blobs, generate_two_moons, load_csv, split, write_json
 from .evasion import (
     AttackConfig,
     curvature_comparison,
@@ -58,6 +58,7 @@ from .extraction import (
 from .gp import (
     RejectionPolicy,
     ZeroRejection,
+    _default_jitter,
     _scores,
     accuracy,
     decision_grid,
@@ -193,6 +194,8 @@ class ExperimentConfig:
                 raise ConfigError("dataset.label_column", "required for CSV datasets")
         elif src["generator"] not in ("two_moons", "blobs"):
             raise ConfigError("dataset.generator", f"unknown generator {src['generator']!r}")
+        else:
+            _check("dataset.n", _half, src["n"])
         short, long = (CSV_DEFAULT_SHORT, CSV_DEFAULT_LONG) if "csv" in src else (0.2, 2.0)
         if self.lengthscale_short is None:
             self.lengthscale_short = short
@@ -208,10 +211,13 @@ class ExperimentConfig:
         _check("kernel", KernelSpec, **self.kernel)
         for name in ("lengthscale_short", "lengthscale_long"):
             _check(name, _spec, self, getattr(self, name))
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction", "must lie in (0, 1)")
+        _check("extract.jitter", _default_jitter, _spec(self, self.lengthscale_short), self.extract["jitter"])
+        _check("train_fraction", _cut, self.train_fraction, 2)
+        _check("membership.attacker_fraction", _cut, self.membership["attacker_fraction"], 2)
         _check("zero_rejection_eps", ZeroRejection, self.zero_rejection_eps)
         _check("rejection", RejectionPolicy, **self.rejection)
+        _check("attack.cw_step_size", AttackConfig, step_size=self.attack["cw_step_size"])
+        _check("attack.cw_confidence", AttackConfig, confidence=self.attack["cw_confidence"])
 
 
 def _check_type(field_name: str, value, default):

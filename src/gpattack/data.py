@@ -103,6 +103,13 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
 
+def _half(n: int) -> int:
+    """n // 2, the points per class of a balanced generator; n must be even."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be a positive even count, got {n}")
+    return n // 2
+
+
 def generate_two_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half-circle classes in 2-D, n/2 points per class.
 
@@ -110,11 +117,9 @@ def generate_two_moons(n: int, noise: float, seed: int) -> Dataset:
     mirrored arc offset by (+1, -0.5), the conventional interleaving.
     Gaussian noise of the given standard deviation is added per coordinate.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be a positive even count, got {n}")
+    m = _half(n)
     if noise < 0:
         raise ValueError("noise must be nonnegative")
-    m = n // 2
     theta = np.linspace(0.0, np.pi, m)
     upper = np.column_stack([np.cos(theta), np.sin(theta)])
     lower = np.column_stack([1.0 - np.cos(theta), 0.5 - np.sin(theta)])
@@ -128,11 +133,9 @@ def generate_two_moons(n: int, noise: float, seed: int) -> Dataset:
 def generate_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
     """Two balanced isotropic unit-variance Gaussian clusters, centers
     `separation` apart along the first axis."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be a positive even count, got {n}")
+    m = _half(n)
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    m = n // 2
     rng = np.random.default_rng(seed)
     offset = np.zeros(d)
     offset[0] = separation / 2.0
@@ -201,14 +204,19 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     The train size is floor(train_fraction * n), clamped so both parts
     stay nonempty.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    n_train = _cut(train_fraction, dataset.n)
     if dataset.n < 2:
         raise ValueError("cannot split a dataset with fewer than 2 points")
-    n_train = int(np.floor(train_fraction * dataset.n))
-    n_train = min(max(n_train, 1), dataset.n - 1)
     perm = np.random.default_rng(seed).permutation(dataset.n)
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+
+
+def _cut(fraction: float, n: int) -> int:
+    """Where a split of n rows cuts: floor(fraction * n), clamped to
+    [1, n - 1] so both parts stay nonempty; fraction must lie in (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    return min(max(int(np.floor(fraction * n)), 1), n - 1)
 
 
 def rows_in(table, rows) -> np.ndarray:

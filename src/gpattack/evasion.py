@@ -26,6 +26,7 @@ import numpy as np
 from .data import frozen_array, write_lines
 from .gp import NumericalError, TrainedGP, ZeroRejection, latent_mean_batch
 from .gp import _latent_gradients, _latent_rows, _query_matrix, _query_row
+from .kernels import _positive
 
 __all__ = [
     "AttackConfig",
@@ -62,15 +63,20 @@ class AttackConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if self.confidence < 0:
-            raise ValueError("confidence must be nonnegative")
+        if not _positive(self.step_size):
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
+        if not (np.isfinite(self.confidence) and self.confidence >= 0):
+            raise ValueError(f"confidence must be nonnegative and finite, got {self.confidence!r}")
         if self.box is not None:
-            lo, hi = (tuple(float(v) for v in side) for side in self.box)
-            if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
-                raise ValueError("box must satisfy min <= max per feature")
-            object.__setattr__(self, "box", (lo, hi))
+            object.__setattr__(self, "box", _box_sides(self.box))
+
+
+def _box_sides(box) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The (min, max) sides of `box` as float tuples of one length, min <= max per feature."""
+    lo, hi = (tuple(float(v) for v in side) for side in box)
+    if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
+        raise ValueError("box must satisfy min <= max per feature")
+    return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +111,9 @@ def _resolve_box(gp: TrainedGP, box) -> tuple[np.ndarray, np.ndarray]:
     observed in the victim's training data."""
     if box is None:
         return gp.train_features.min(axis=0), gp.train_features.max(axis=0)
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    if lo.shape != (gp.d,) or hi.shape != (gp.d,):
+    lo, hi = map(np.array, _box_sides(box))
+    if len(lo) != gp.d:
         raise ValueError("box must provide one (min, max) pair per feature")
-    if np.any(lo > hi):
-        raise ValueError("box must satisfy min <= max per feature")
     return lo, hi
 
 

@@ -442,8 +442,6 @@ def estimate_lengthscale_sweep(
         raise ValueError(f"unknown sweep regime {regime!r}")
     if not true_l_hint > 0:
         raise ValueError("true_l_hint must be positive")
-    if holdout.n < 1:
-        raise ValueError("holdout must be nonempty")
     if np.any(rows_in(attacker_data.features, holdout.features)):
         raise ValueError("holdout must be disjoint from the attacker's training data")
 
@@ -472,8 +470,6 @@ def identify_kernel(
     candidates by mean absolute output distance on the holdout, ascending."""
     if len(candidates) == 0:
         raise ValueError("need at least one candidate kernel")
-    if holdout.n < 1:
-        raise ValueError("holdout must be nonempty")
     models = (fit_classification_laplace(spec, train_data) for spec in candidates)
     return sorted(zip(candidates, _output_distances(oracle, holdout, models)), key=lambda pair: pair[1])
 

@@ -26,7 +26,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import Dataset, frozen_array, write_json, write_lines
-from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, kernel_matrix, self_similarity
+from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, _positive, kernel_matrix, self_similarity
 
 __all__ = [
     "REGRESSION",
@@ -197,8 +197,8 @@ class TrainedGP:
 def _default_jitter(spec: KernelSpec, jitter: float | None) -> float:
     if jitter is None:
         jitter = 1e-6 * spec.variance
-    if not jitter > 0:
-        raise ValueError("jitter must be positive")
+    if not _positive(jitter):
+        raise ValueError(f"jitter must be positive and finite, got {jitter!r}")
     return float(jitter)
 
 
@@ -502,8 +502,6 @@ def accuracy(
     count as errors (the Acc_r convention); `reject_rate` reports their
     fraction.
     """
-    if data.n < 1:
-        raise ValueError("dataset must be nonempty")
     return _scores(latent_mean_batch(gp, data.features), data.labels, policy)
 
 
@@ -565,17 +563,10 @@ def load_gp(path) -> TrainedGP:
     if mode not in (REGRESSION, CLASSIFICATION):
         raise ValueError(f"model file: unknown mode {mode!r}")
     spec = KernelSpec.from_json_dict(payload["spec"])
-    features = _stored_array(payload, "train_features")
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError(f"model file: train_features has shape {features.shape}, expected (n, d)")
-    n = features.shape[0]
-    labels = _stored_array(payload, "train_labels", (n,))
-    if not np.isin(labels, (-1.0, 1.0)).all():
-        raise ValueError("model file: train_labels must be -1 or +1")
+    data = Dataset(_stored_array(payload, "train_features"), _stored_array(payload, "train_labels"))
+    features, labels, n = data.features, data.labels, data.n
     alpha = _stored_array(payload, "alpha", (n,))
-    jitter = float(payload["jitter"])
-    if not (np.isfinite(jitter) and jitter > 0):
-        raise ValueError(f"model file: jitter {jitter!r} is not a positive number")
+    jitter = _default_jitter(spec, float(payload["jitter"]))
     K = _jittered_gram(spec, features, jitter)
     f = None if mode == REGRESSION else _stored_array(payload, "latent_mode", (n,))
     target = labels if f is None else f

@@ -189,12 +189,17 @@ def _point_sets(A, B) -> tuple[np.ndarray, np.ndarray]:
 
 def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray, rowwise: bool = False) -> np.ndarray:
     """kernel_matrix without the argument checks: A and B are float matrices
-    of equal width. The one home of each family's formula. With `rowwise`,
-    row i is bit for bit the block of A[i:i + 1] alone: one matrix-vector
-    product per row, since a matrix product over all of A rounds otherwise."""
+    of equal width. Each family's formula has one home, `_rbf` or
+    `_dot_kernel`. With `rowwise`, row i is bit for bit the block of
+    A[i:i + 1] alone: one matrix-vector product per row, since a matrix
+    product over all of A rounds otherwise."""
     if spec.family == RBF:
         return _rbf(scaled_sq_distances(spec, A, B), spec.variance)
-    dot = np.matmul(A[:, None, :], B.T)[:, 0] if rowwise else A @ B.T
+    return _dot_kernel(spec, np.matmul(A[:, None, :], B.T)[:, 0] if rowwise else A @ B.T)
+
+
+def _dot_kernel(spec: KernelSpec, dot):
+    """The linear or polynomial kernel of the inner products `dot`: the one home of both formulas."""
     if spec.family == LINEAR:
         return spec.variance * dot
     return spec.variance * (dot + spec.offset) ** spec.degree
@@ -205,10 +210,7 @@ def self_similarity(spec: KernelSpec, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if spec.family == RBF:
         return np.full(X.shape[0], spec.variance)
-    sq = (X**2).sum(axis=1)
-    if spec.family == LINEAR:
-        return spec.variance * sq
-    return spec.variance * (sq + spec.offset) ** spec.degree
+    return _dot_kernel(spec, (X**2).sum(axis=1))
 
 
 def kernel_gradient_x_batch(spec: KernelSpec, x, X) -> np.ndarray:

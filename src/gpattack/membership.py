@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, frozen_array, rows_in
+from .data import Dataset, _cut, frozen_array, rows_in
 from .gp import CLASSIFICATION, TrainedGP, _logistic, accuracy as gp_accuracy, latent_mean_batch, predict_batch
 from .kernels import RBF, kernel_matrix, scaled_sq_distances
 
@@ -144,8 +144,6 @@ def split_attack_dataset(
     ds: MembershipDataset, train_fraction: float, seed: int
 ) -> tuple[MembershipDataset, MembershipDataset]:
     """Stratified row split so both parts keep the in/out balance."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -154,7 +152,7 @@ def split_attack_dataset(
         if len(idx) < 2:
             raise ValueError("need at least two rows per membership class to split")
         perm = idx[rng.permutation(len(idx))]
-        cut = min(max(int(np.floor(train_fraction * len(idx))), 1), len(idx) - 1)
+        cut = _cut(train_fraction, len(idx))
         train_idx.extend(perm[:cut])
         test_idx.extend(perm[cut:])
     train_idx = np.array(train_idx)

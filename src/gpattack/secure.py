@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import frozen_array
+from .data import Dataset
 from .gp import RejectionPolicy, TrainedGP, latent_mean_batch, REJECT
 from .kernels import RBF, KernelSpec, kernel_matrix, scaled_sq_distances
 
@@ -43,14 +43,9 @@ class SecureClassifier:
     rho: float
 
     def __post_init__(self):
-        anchors = frozen_array(self.anchors)
-        labels = frozen_array(self.labels)
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
-            raise ValueError("anchors must be a nonempty n x d matrix")
-        if labels.shape != (anchors.shape[0],) or not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise ValueError("labels must be one value in {-1, +1} per anchor")
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "labels", labels)
+        anchors = Dataset(self.anchors, self.labels)  # n x d, one label in {-1, +1} per anchor
+        object.__setattr__(self, "anchors", anchors.features)
+        object.__setattr__(self, "labels", anchors.labels)
 
 
 def rho_ball_radius(spec: KernelSpec, rho: float) -> float:

@@ -238,6 +238,28 @@ class TestMain:
         assert "invalid configuration" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field, section",
+        [
+            ("membership.attacker_fraction", {"membership": {"attacker_fraction": 0}}),
+            ("membership.attacker_fraction", {"membership": {"attacker_fraction": 1.5}}),
+            ("extract.jitter", {"extract": {"jitter": 0}}),
+            ("extract.jitter", {"extract": {"jitter": -1e-8}}),
+            ("attack.cw_step_size", {"attack": {"cw_step_size": 0}}),
+            ("attack.cw_confidence", {"attack": {"cw_confidence": -1}}),
+            ("dataset.n", {"dataset": {"generator": "two_moons", "n": 121}}),
+            ("dataset.n", {"dataset": {"generator": "blobs", "n": 121}}),
+            ("train_fraction", {"train_fraction": 1.0}),
+        ],
+    )
+    def test_stage_rule_exits_2_by_name(self, tmp_path, capsys, field, section):
+        # each rule has one home in its stage's code, which the config check calls
+        config_path = write_config(tmp_path / "config.json", **section)
+        code = main(["membership", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"invalid configuration: config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_extract_recovers_training_data(self, tmp_path):
         # at this seed the training-data recovery used to stall far from the anchors
         config_path = tmp_path / "config.json"

@@ -142,6 +142,28 @@ class TestCwL2:
         with pytest.raises(ValueError):
             cw_l2(gp, np.zeros(2), config)
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"step_size": np.inf}, "step_size must be positive and finite"),
+            ({"step_size": np.nan}, "step_size must be positive and finite"),
+            ({"step_size": 0.0}, "step_size must be positive and finite"),
+            ({"confidence": np.inf}, "confidence must be nonnegative and finite"),
+            ({"confidence": -1.0}, "confidence must be nonnegative and finite"),
+        ],
+    )
+    def test_config_refuses_a_bad_knob(self, knobs, message):
+        # an infinite step makes cw_l2 fail on a NaN point of its own, blaming the query
+        with pytest.raises(ValueError, match=message):
+            AttackConfig(**knobs)
+
+    @pytest.mark.parametrize("box", [((0.0, 1.0), (1.0,)), ((0.0, 1.0), (1.0, 0.5))])
+    def test_config_and_attacks_refuse_the_same_boxes(self, box):
+        with pytest.raises(ValueError, match="min <= max"):
+            AttackConfig(box=box)
+        with pytest.raises(ValueError, match="min <= max"):
+            gpfgs(single_anchor_gp(), np.zeros(2), 0.1, box=box)
+
     def test_tighter_than_gpfgs_on_mutual_successes(self):
         victim_short, _, test = moons_victims()
         points = test.features[:50]

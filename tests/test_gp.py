@@ -98,6 +98,13 @@ class TestFitRegression:
             fit_regression(spec, Dataset(X, np.array([1.0, -1.0])), jitter=1e-300)
         assert err.value.pivot == 2
 
+    @pytest.mark.parametrize("jitter", [0.0, -1e-8, math.inf, math.nan])
+    def test_jitter_must_be_positive_and_finite(self, jitter):
+        # with an infinite jitter alpha is 0 and every prediction the prior's
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="jitter must be positive and finite"):
+            fit_regression(KernelSpec(RBF), Dataset(X, np.array([1.0, -1.0])), jitter=jitter)
+
     def test_label_flip_flips_means(self):
         spec, X, y, query = random_regression_case(11)
         gp = fit_regression(spec, Dataset(X, y), 1e-8)
@@ -534,6 +541,11 @@ class TestSerialization:
     def test_label_outside_pm_one_rejected(self, tmp_path):
         path = self.corrupted(tmp_path, lambda p: p["train_labels"].__setitem__(0, 0.5))
         with pytest.raises(ValueError, match="-1 or \\+1"):
+            load_gp(path)
+
+    def test_infinite_jitter_rejected(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda p: p.update(jitter=math.inf))
+        with pytest.raises(ValueError, match="jitter must be positive and finite"):
             load_gp(path)
 
     def test_unknown_mode_rejected(self, tmp_path):
