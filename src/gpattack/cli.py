@@ -36,7 +36,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import Dataset, _cut, _half, generate_blobs, generate_two_moons, load_csv, split, write_json
+from .data import Dataset, _cut, _half, _require_nonnegative, generate_blobs, generate_two_moons, load_csv
+from .data import split, write_json
 from .evasion import (
     AttackConfig,
     curvature_comparison,
@@ -68,7 +69,7 @@ from .gp import (
     latent_mean_batch,
     save_gp,
 )
-from .kernels import FAMILIES, LINEAR, POLY, RBF, KernelSpec
+from .kernels import FAMILIES, LINEAR, POLY, RBF, KernelSpec, _require_positive
 from .membership import (
     build_attack_dataset,
     distribution_drift,
@@ -77,7 +78,7 @@ from .membership import (
     split_attack_dataset,
     train_attack_classifier,
 )
-from .secure import build_secure_classifier, equivalence_check, generalization_probe
+from .secure import _scaled_radius, build_secure_classifier, equivalence_check, generalization_probe
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
 
@@ -196,6 +197,8 @@ class ExperimentConfig:
             raise ConfigError("dataset.generator", f"unknown generator {src['generator']!r}")
         else:
             _check("dataset.n", _half, src["n"])
+            if src["generator"] == "two_moons":  # blobs ignore the noise
+                _check("dataset.noise", _require_nonnegative, "noise", src["noise"])
         short, long = (CSV_DEFAULT_SHORT, CSV_DEFAULT_LONG) if "csv" in src else (0.2, 2.0)
         if self.lengthscale_short is None:
             self.lengthscale_short = short
@@ -218,6 +221,10 @@ class ExperimentConfig:
         _check("rejection", RejectionPolicy, **self.rejection)
         _check("attack.cw_step_size", AttackConfig, step_size=self.attack["cw_step_size"])
         _check("attack.cw_confidence", AttackConfig, confidence=self.attack["cw_confidence"])
+        _check("attack.epsilon", _require_nonnegative, "epsilon", self.attack["epsilon"])
+        _check("attack.jsma_step", _require_positive, "step", self.attack["jsma_step"])
+        if self.kernel["family"] == RBF:  # a rho-ball needs an abating kernel
+            _check("secure.rho", _scaled_radius, _spec(self, self.lengthscale_long), self.secure["rho"])
 
 
 def _check_type(field_name: str, value, default):
@@ -388,7 +395,7 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
     jitter = float(ext["jitter"])
     reg_spec = _spec(cfg, cfg.lengthscale_short)
     reg_victim = fit_regression(reg_spec, train, jitter)
-    reg_oracle = ModelOracle.from_gp(reg_victim)
+    reg_oracle = ModelOracle(reg_victim)
     lengthscale_report = extract_lengthscale_analytic(
         reg_oracle, train, jitter, tuple(ext["interval"]), variance=reg_spec.variance, seed=cfg.seed
     )
@@ -396,7 +403,7 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
     recover_n = min(int(ext["recover_n"]), train.n)
     tiny = train.subset(np.arange(recover_n))
     tiny_victim = fit_regression(reg_spec, tiny, jitter)
-    tiny_oracle = ModelOracle.from_gp(tiny_victim)
+    tiny_oracle = ModelOracle(tiny_victim)
     budget = int(ext["recover_budget_factor"]) * recover_n * tiny.d
     # probes must sense the anchors: pad the data region by two lengthscales
     pad = 2.0 * float(np.max(reg_spec.lengthscales(tiny.d)))
@@ -438,7 +445,7 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
     # empirical sweep against the classification victim, three data regimes
     victim = fit_classification_laplace(reg_spec, train)
-    oracle = ModelOracle.from_gp(victim)
+    oracle = ModelOracle(victim)
     half = train.n // 2
     rng = np.random.default_rng(cfg.seed)
     fresh_idx = rng.permutation(fresh.n)

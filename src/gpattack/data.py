@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,12 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
 
+def _require_nonnegative(name: str, value) -> None:
+    """Refuse a `value` that is negative, NaN or infinite, naming it."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
 def _half(n: int) -> int:
     """n // 2, the points per class of a balanced generator; n must be even."""
     if n < 2 or n % 2 != 0:
@@ -118,8 +125,7 @@ def generate_two_moons(n: int, noise: float, seed: int) -> Dataset:
     Gaussian noise of the given standard deviation is added per coordinate.
     """
     m = _half(n)
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    _require_nonnegative("noise", noise)
     theta = np.linspace(0.0, np.pi, m)
     upper = np.column_stack([np.cos(theta), np.sin(theta)])
     lower = np.column_stack([1.0 - np.cos(theta), 0.5 - np.sin(theta)])

@@ -23,10 +23,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import frozen_array, write_lines
+from .data import _require_nonnegative, frozen_array, write_lines
 from .gp import NumericalError, TrainedGP, ZeroRejection, latent_mean_batch
 from .gp import _latent_gradients, _latent_rows, _query_matrix, _query_row
-from .kernels import _positive
+from .kernels import _require_positive
 
 __all__ = [
     "AttackConfig",
@@ -63,10 +63,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not _positive(self.step_size):
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
-        if not (np.isfinite(self.confidence) and self.confidence >= 0):
-            raise ValueError(f"confidence must be nonnegative and finite, got {self.confidence!r}")
+        _require_positive("step_size", self.step_size)
+        _require_nonnegative("confidence", self.confidence)
         if self.box is not None:
             object.__setattr__(self, "box", _box_sides(self.box))
 
@@ -110,7 +108,7 @@ def _resolve_box(gp: TrainedGP, box) -> tuple[np.ndarray, np.ndarray]:
     """The box as (min, max) vectors; None means the per-feature (min, max)
     observed in the victim's training data."""
     if box is None:
-        return gp.train_features.min(axis=0), gp.train_features.max(axis=0)
+        return gp.data.features.min(axis=0), gp.data.features.max(axis=0)
     lo, hi = map(np.array, _box_sides(box))
     if len(lo) != gp.d:
         raise ValueError("box must provide one (min, max) pair per feature")
@@ -124,8 +122,7 @@ def gpfgs_batch(gp: TrainedGP, X, epsilon: float, box=None) -> list[AdversarialR
     then clips to the box. A zero gradient yields a zero delta and
     success=False rather than an error.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    _require_nonnegative("epsilon", epsilon)
     X = _query_matrix(gp, X)
     lo, hi = _resolve_box(gp, box)
     k, means = _latent_rows(gp, X)
@@ -147,8 +144,7 @@ def gpjm_batch(gp: TrainedGP, X, budget: int, step: float, box=None) -> list[Adv
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    _require_positive("step", step)
     X = _query_matrix(gp, X)
     lo, hi = _resolve_box(gp, box)
     labels = np.sign(_latent_rows(gp, X)[1])

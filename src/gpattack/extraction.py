@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,36 +53,29 @@ __all__ = [
 
 
 class ModelOracle:
-    """Black-box query interface: point -> (mean, variance), with a counter.
+    """Black-box query interface to a model: point -> (mean, variance), with a counter.
 
     The counter increments atomically by exactly one per query, so
     concurrent attackers can share one oracle and the accounting stays
     exact.
     """
 
-    def __init__(self, query_fn: Callable[[np.ndarray], tuple[float, float]]):
-        self._query_fn = query_fn
+    def __init__(self, gp: TrainedGP):
+        self._gp = gp
         self._count = 0
         self._lock = threading.Lock()
 
     @classmethod
     def from_gp(cls, gp: TrainedGP) -> "ModelOracle":
-        def query_fn(x: np.ndarray) -> tuple[float, float]:
-            p = predict(gp, x)
-            return p.mean, p.variance
-
-        return cls(query_fn)
+        return cls(gp)
 
     def query(self, x) -> tuple[float, float]:
         """(mean, variance) at x. Only answered queries are counted: a NaN
         or infinite point, or one the model refuses, raises ValueError."""
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError(f"query point is not finite: {x.tolist()}")
-        mean, variance = self._query_fn(x)
+        p = predict(self._gp, x)
         with self._lock:
             self._count += 1
-        return float(mean), float(variance)
+        return p.mean, p.variance
 
     @property
     def query_count(self) -> int:

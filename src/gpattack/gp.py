@@ -25,8 +25,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .data import Dataset, frozen_array, write_json, write_lines
-from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, _positive, kernel_matrix, self_similarity
+from .data import Dataset, _require_nonnegative, frozen_array, write_json, write_lines
+from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, _require_positive, kernel_matrix
+from .kernels import self_similarity
 
 __all__ = [
     "REGRESSION",
@@ -125,8 +126,7 @@ class ZeroRejection(_Rejection):
     eps: float = 1e-3
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"zero-rejection eps must be nonnegative and finite, got {self.eps!r}")
+        _require_nonnegative("zero-rejection eps", self.eps)
 
     def mask(self, means) -> np.ndarray:
         means = np.asarray(means, dtype=float)
@@ -148,33 +148,35 @@ class Prediction:
 class TrainedGP:
     """Immutable fitted model: only what its fit decides.
 
-    `alpha` are the representer weights: the latent mean at x is
-    K(x, train)^T alpha, with K built with `jitter` added to its diagonal.
-    `latent_mode` is the latent posterior mode for classification and None
-    for regression. `factor` derives from these fields.
+    `data` is the training set, shared with the fit's caller, as a Dataset
+    is frozen. `alpha` are the representer weights: the latent mean at x is
+    K(x, data.features)^T alpha, with K built with `jitter` added to its
+    diagonal. `latent_mode` is the latent posterior mode for classification
+    and None for regression; `mode` and `factor` derive from these fields.
     """
 
     spec: KernelSpec
-    train_features: np.ndarray
-    train_labels: np.ndarray
+    data: Dataset
     alpha: np.ndarray
     jitter: float
-    mode: str
     latent_mode: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("train_features", "train_labels", "alpha", "latent_mode"):
+        for name in ("alpha", "latent_mode"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, frozen_array(value))
-        if self.mode not in (REGRESSION, CLASSIFICATION):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.latent_mode is not None) != (self.mode == CLASSIFICATION):
-            raise ValueError("latent_mode is present iff mode is classification")
+                value = frozen_array(value)
+                if value.shape != (self.data.n,):
+                    raise ValueError(f"{name} has shape {value.shape}, expected {(self.data.n,)}")
+                object.__setattr__(self, name, value)
+
+    @property
+    def mode(self) -> str:
+        return REGRESSION if self.latent_mode is None else CLASSIFICATION
 
     @property
     def d(self) -> int:
-        return self.train_features.shape[1]
+        return self.data.d
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -183,7 +185,7 @@ class TrainedGP:
         B = I + sqrt(W) K sqrt(W) with W the logistic Hessian at `latent_mode`.
         Either is built and factored in K's own buffer, so the model holds one
         n x n array from its first variance on."""
-        K = _jittered_gram(self.spec, self.train_features, self.jitter)
+        K = _jittered_gram(self.spec, self.data.features, self.jitter)
         if self.mode == REGRESSION:
             chol, sw = _cholesky_lower(K.T), None
         else:
@@ -197,8 +199,7 @@ class TrainedGP:
 def _default_jitter(spec: KernelSpec, jitter: float | None) -> float:
     if jitter is None:
         jitter = 1e-6 * spec.variance
-    if not _positive(jitter):
-        raise ValueError(f"jitter must be positive and finite, got {jitter!r}")
+    _require_positive("jitter", jitter)
     return float(jitter)
 
 
@@ -266,14 +267,7 @@ def fit_regression(
     K = _jittered_gram(spec, data.features, jitter, gram)
     # K is exactly symmetric, so K.T is its Fortran view: dpotrf factors it in place, with no copy
     alpha = dpotrs(_cholesky_lower(K.T), data.labels, lower=1)[0]
-    return TrainedGP(
-        spec=spec,
-        train_features=data.features,
-        train_labels=data.labels,
-        alpha=alpha,
-        jitter=jitter,
-        mode=REGRESSION,
-    )
+    return TrainedGP(spec, data, alpha, jitter)
 
 
 def _log_likelihood(f: np.ndarray, labels: np.ndarray) -> float:
@@ -352,15 +346,7 @@ def fit_classification_laplace(
         if change < tol:
             break
 
-    return TrainedGP(
-        spec=spec,
-        train_features=data.features,
-        train_labels=data.labels,
-        alpha=a,
-        jitter=jitter,
-        mode=CLASSIFICATION,
-        latent_mode=f,
-    )
+    return TrainedGP(spec, data, a, jitter, latent_mode=f)
 
 
 def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
@@ -377,7 +363,7 @@ def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
 
 def latent_mean_batch(gp: TrainedGP, X) -> np.ndarray:
     X = _query_matrix(gp, X)
-    return kernel_matrix(gp.spec, X, gp.train_features) @ gp.alpha
+    return kernel_matrix(gp.spec, X, gp.data.features) @ gp.alpha
 
 
 def _query_row(x) -> np.ndarray:
@@ -393,14 +379,14 @@ def _latent_rows(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
     the latent means there. Each mean is its own 1 x n matrix-vector product, so
     row i equals latent_mean_batch(gp, X[i:i + 1])[0] bit for bit; one
     (R, n) product would round differently."""
-    k = _kernel_block(gp.spec, _query_matrix(gp, X), gp.train_features, rowwise=True)
+    k = _kernel_block(gp.spec, _query_matrix(gp, X), gp.data.features, rowwise=True)
     return k, np.matmul(k[:, None, :], gp.alpha)[:, 0]
 
 
 def _latent_gradients(gp: TrainedGP, X: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     """Latent-mean gradients at the checked float query rows X, each its own
     matrix-vector product as for one row alone. `k` may hold k(X, train)."""
-    return np.matmul(gp.alpha, _kernel_gradient_block(gp.spec, X, gp.train_features, k))
+    return np.matmul(gp.alpha, _kernel_gradient_block(gp.spec, X, gp.data.features, k))
 
 
 def latent_mean(gp: TrainedGP, x) -> float:
@@ -415,7 +401,7 @@ def predict_batch(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
     prediction of R rows holds one R x n array beside the model's factor."""
     X = _query_matrix(gp, X)
     chol, sw = gp.factor
-    k_star = kernel_matrix(gp.spec, X, gp.train_features)
+    k_star = kernel_matrix(gp.spec, X, gp.data.features)
     means = k_star @ gp.alpha
     # v = L \ (sqrt(W) k*), with sqrt(W) = I for regression (R&W Alg. 2.1, 3.2);
     # k*.T is Fortran-ordered, so the solve overwrites it. The factor and X are
@@ -453,7 +439,6 @@ class DecisionGrid:
     labels: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    resolution: int
 
     def write_csv(self, path):
         rows = zip(self.points, self.labels, self.means, self.variances)
@@ -487,7 +472,7 @@ def decision_grid(
     points = grid_points((lo0, lo1), (hi0, hi1), resolution)
     means, variances = predict_batch(gp, points)
     labels = np.sign(means).astype(int) if policy is None else policy.labels(means)
-    return DecisionGrid(points=points, labels=labels, means=means, variances=variances, resolution=resolution)
+    return DecisionGrid(points=points, labels=labels, means=means, variances=variances)
 
 
 def accuracy(
@@ -519,8 +504,8 @@ def _to_json_dict(gp: TrainedGP) -> dict:
         "spec": gp.spec.to_json_dict(),
         "mode": gp.mode,
         "jitter": gp.jitter,
-        "train_features": gp.train_features.tolist(),
-        "train_labels": gp.train_labels.tolist(),
+        "train_features": gp.data.features.tolist(),
+        "train_labels": gp.data.labels.tolist(),
         "alpha": gp.alpha.tolist(),
         "latent_mode": None if gp.latent_mode is None else gp.latent_mode.tolist(),
     }
@@ -537,10 +522,8 @@ def save_gp(gp: TrainedGP, path):
 _ALPHA_RTOL = 1e-8
 
 
-def _stored_array(payload: dict, key: str, shape: tuple | None = None) -> np.ndarray:
+def _stored_array(payload: dict, key: str) -> np.ndarray:
     value = np.array(payload[key], dtype=float)
-    if shape is not None and value.shape != shape:
-        raise ValueError(f"model file: {key} has shape {value.shape}, expected {shape}")
     if not np.isfinite(value).all():
         raise ValueError(f"model file: {key} holds a non-finite value")
     return value
@@ -564,22 +547,12 @@ def load_gp(path) -> TrainedGP:
         raise ValueError(f"model file: unknown mode {mode!r}")
     spec = KernelSpec.from_json_dict(payload["spec"])
     data = Dataset(_stored_array(payload, "train_features"), _stored_array(payload, "train_labels"))
-    features, labels, n = data.features, data.labels, data.n
-    alpha = _stored_array(payload, "alpha", (n,))
-    jitter = _default_jitter(spec, float(payload["jitter"]))
-    K = _jittered_gram(spec, features, jitter)
-    f = None if mode == REGRESSION else _stored_array(payload, "latent_mode", (n,))
-    target = labels if f is None else f
-    residual = np.abs(K @ alpha - target).max()
-    scale = np.abs(K).sum(axis=1).max() * np.abs(alpha).max() + np.abs(target).max()
+    f = None if mode == REGRESSION else _stored_array(payload, "latent_mode")
+    gp = TrainedGP(spec, data, _stored_array(payload, "alpha"), _default_jitter(spec, float(payload["jitter"])), f)
+    K = _jittered_gram(spec, gp.data.features, gp.jitter)
+    target = gp.data.labels if gp.latent_mode is None else gp.latent_mode
+    residual = np.abs(K @ gp.alpha - target).max()
+    scale = np.abs(K).sum(axis=1).max() * np.abs(gp.alpha).max() + np.abs(target).max()
     if not residual <= _ALPHA_RTOL * scale:
         raise ValueError(f"model file: alpha does not reproduce the fit (residual {residual:.3g}, scale {scale:.3g})")
-    return TrainedGP(
-        spec=spec,
-        train_features=features,
-        train_labels=labels,
-        alpha=alpha,
-        jitter=jitter,
-        mode=mode,
-        latent_mode=f,
-    )
+    return gp

@@ -51,8 +51,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {FAMILIES}")
-        if not _positive(self.variance):
-            raise ValueError(f"variance must be positive and finite, got {self.variance!r}")
+        _require_positive("variance", self.variance)
         ls = self.lengthscale
         if np.ndim(ls) == 0:
             ls = float(ls)
@@ -112,6 +111,12 @@ def _positive(value) -> bool:
     """value > 0 and finite; math.isfinite keeps the check cheap for the
     hundreds of specs an extraction builds."""
     return math.isfinite(value) and value > 0
+
+
+def _require_positive(name: str, value) -> None:
+    """Refuse a `value` that is not positive and finite, naming it."""
+    if not _positive(value):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _as_point(x) -> np.ndarray:

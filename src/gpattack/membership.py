@@ -119,9 +119,9 @@ def build_attack_dataset(
     must be disjoint from it; overlap between the two sets is rejected.
     """
     feature_set = _canonical_feature_set(feature_set)
-    if not np.all(rows_in(gp.train_features, in_points.features)):
+    if not np.all(rows_in(gp.data.features, in_points.features)):
         raise ValueError("in_points must be a subset of the victim's training data")
-    if np.any(rows_in(gp.train_features, out_points.features)):
+    if np.any(rows_in(gp.data.features, out_points.features)):
         raise ValueError("out_points must be disjoint from the victim's training data")
     if np.any(rows_in(in_points.features, out_points.features)):
         raise ValueError("in_points and out_points overlap")

@@ -113,7 +113,7 @@ def equivalence_check(sc: SecureClassifier, gp: TrainedGP, policy: RejectionPoli
     between anchors must be below IDENTITY_EPS (the identity assumption),
     and the thresholds must match tau0 = tau1 = 1 - rho.
     """
-    if not np.array_equal(gp.train_features, sc.anchors) or not np.array_equal(gp.train_labels, sc.labels):
+    if not np.array_equal(gp.data.features, sc.anchors) or not np.array_equal(gp.data.labels, sc.labels):
         raise ValueError("the GP must be trained on the secure classifier's anchors and labels")
     if not check_identity_assumption(sc.anchors, gp.spec):
         raise ValueError("identity assumption violated: some anchors are too similar")
@@ -143,7 +143,7 @@ def generalization_probe(
     which is exactly the learning-vs-static-guarantee trade-off.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    sims = kernel_matrix(spec, grid, gp.train_features)
+    sims = kernel_matrix(spec, grid, gp.data.features)
     outside = sims.max(axis=1) <= rho
     classified = ~policy.mask(latent_mean_batch(gp, grid))
     return {"outside_classified_fraction": float((outside & classified).mean())}

@@ -80,7 +80,7 @@ def test_batch_rows_match_single_points(case):
     batch_means, batch_variances = predict_batch(gp, queries)
     assert means.shape == batch_variances.shape == (len(queries),)
     oracle = ModelOracle.from_gp(gp)
-    mean_scales = np.abs(kernel_matrix(gp.spec, queries, gp.train_features)) @ np.abs(gp.alpha)
+    mean_scales = np.abs(kernel_matrix(gp.spec, queries, gp.data.features)) @ np.abs(gp.alpha)
     variance_scales = self_similarity(gp.spec, queries)
     rows = zip(queries, means, batch_means, batch_variances, mean_scales, variance_scales)
     for x, mean, batch_mean, batch_variance, mean_scale, variance_scale in rows:
@@ -107,7 +107,7 @@ def test_batch_rows_match_single_points(case):
 def test_secure_block_matches_each_row(case, rho):
     gp, queries = case
     spec = KernelSpec(RBF, lengthscale=gp.spec.lengthscale)
-    sc = SecureClassifier(gp.train_features, gp.train_labels, rho)
+    sc = SecureClassifier(gp.data.features, gp.data.labels, rho)
     block = _secure_classify_batch(sc, spec, queries)
     rows = [_secure_classify_batch(sc, spec, x[None, :])[0] for x in queries]
     assert block.tolist() == rows
@@ -120,7 +120,7 @@ def test_latent_rows_equal_batch_paths(case):
     k, means = _latent_rows(gp, queries)
     gradients = _latent_gradients(gp, queries, k)
     for x, mean, gradient in zip(queries, means, gradients):
-        expected = gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.train_features)
+        expected = gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.data.features)
         assert mean == latent_mean_batch(gp, x[None])[0] == latent_mean(gp, x)
         assert np.array_equal(gradient, expected)
         assert np.array_equal(latent_gradient(gp, x), expected)
@@ -135,7 +135,7 @@ def one_mean(gp, x):
 
 
 def one_gradient(gp, x):
-    return gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.train_features)
+    return gp.alpha @ kernel_gradient_x_batch(gp.spec, x, gp.data.features)
 
 
 # Loop references for the three attacks: one point at a time, cw_l2's restarts
@@ -228,7 +228,7 @@ def assert_same_result(result, other):
 def test_attack_rows_equal_one_point_attacks(case, epsilon, budget, step, max_iter, step_size, confidence, seed):
     # queries reach past the training data, so the default box clips some
     gp, queries = case
-    lo, hi = gp.train_features.min(axis=0), gp.train_features.max(axis=0)
+    lo, hi = gp.data.features.min(axis=0), gp.data.features.max(axis=0)
     config = AttackConfig(max_iter=max_iter, step_size=step_size, confidence=confidence)
     attacks = [
         (
@@ -263,7 +263,7 @@ def test_gpjm_block_with_every_row_inactive_from_the_start():
     gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=(0.5, 0.7)), data)
     queries = np.array([[60.0, -50.0], [-70.0, 80.0], [90.0, 90.0]])
     assert not _latent_rows(gp, queries)[1].any()
-    lo, hi = gp.train_features.min(axis=0), gp.train_features.max(axis=0)
+    lo, hi = gp.data.features.min(axis=0), gp.data.features.max(axis=0)
     block = gpjm_batch(gp, queries, 2, 0.3)
     assert len(block) == len(queries)
     for x, row in zip(queries, block):

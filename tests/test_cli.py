@@ -102,6 +102,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'config': invalid JSON"):
             load_config(str(path), {})
 
+    def test_noise_and_rho_checked_only_where_read(self):
+        # blobs draw no noise, and only an abating (RBF) kernel has rho-balls
+        ExperimentConfig(dataset={"generator": "blobs", "n": 40, "noise": -0.1}).validate()
+        ExperimentConfig(kernel={"family": "linear"}, secure={"rho": 1.5}).validate()
+
     def test_int_accepted_where_default_is_float(self):
         cfg = ExperimentConfig(attack={"epsilon": 1}, extract={"interval": [1, 10]}, lengthscale_long=3)
         cfg.validate()
@@ -250,6 +255,12 @@ class TestMain:
             ("dataset.n", {"dataset": {"generator": "two_moons", "n": 121}}),
             ("dataset.n", {"dataset": {"generator": "blobs", "n": 121}}),
             ("train_fraction", {"train_fraction": 1.0}),
+            ("attack.epsilon", {"attack": {"epsilon": -1}}),
+            ("attack.jsma_step", {"attack": {"jsma_step": 0}}),
+            ("attack.jsma_step", {"attack": {"jsma_step": -0.3}}),
+            ("dataset.noise", {"dataset": {"generator": "two_moons", "noise": -0.1}}),
+            ("secure.rho", {"secure": {"rho": -0.5}}),
+            ("secure.rho", {"secure": {"rho": 1.5}}),
         ],
     )
     def test_stage_rule_exits_2_by_name(self, tmp_path, capsys, field, section):
@@ -319,7 +330,7 @@ class TestMain:
         assert main(["train", "--config", str(config_path), "--data", "two_moons", "--out", str(out)]) == 0
         echo = json.loads((out / "manifest.json").read_text())["config"]["dataset"]
         assert echo == {"generator": "two_moons", "n": 40, "noise": 0.3}
-        assert load_gp(out / "model_short.json").train_features.shape[0] == 20
+        assert load_gp(out / "model_short.json").data.features.shape[0] == 20
 
     def test_csv_data_flag_gets_csv_default_lengthscales(self, tmp_path):
         csv = write_csv(tmp_path / "data.csv")

@@ -12,6 +12,7 @@ from gpattack.evasion import (
     curvature_comparison,
     cw_l2,
     gpfgs,
+    gpfgs_batch,
     gpjm,
     write_attack_sets_csv,
 )
@@ -43,6 +44,11 @@ class TestGpfgs:
         assert np.array_equal(result.adversarial, x)
         assert not result.success
         assert result.norms == {"l0": 0, "l2": 0.0, "linf": 0.0}
+
+    def test_nan_epsilon_refused_by_name(self):
+        # NaN passed `epsilon < 0`, and the attack then failed on a NaN point of its own
+        with pytest.raises(ValueError, match="epsilon must be nonnegative and finite, got nan"):
+            gpfgs_batch(single_anchor_gp(), np.zeros((1, 2)), np.nan)
 
     def test_sign_structure(self):
         # query below the +1 anchor in both coordinates: gradient is positive,
@@ -130,7 +136,7 @@ class TestCwL2:
 
     def test_box_constraint_exact(self):
         victim_short, _, test = moons_victims()
-        lo, hi = victim_short.train_features.min(axis=0), victim_short.train_features.max(axis=0)
+        lo, hi = victim_short.data.features.min(axis=0), victim_short.data.features.max(axis=0)
         config = AttackConfig(max_iter=60, step_size=0.05, confidence=10.0)
         for x in test.features[:15]:
             r = cw_l2(victim_short, x, config)

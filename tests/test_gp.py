@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,9 +15,11 @@ from gpattack.data import Dataset, generate_blobs, generate_two_moons, split
 from gpattack.extraction import ModelOracle
 from gpattack.gp import (
     CLASSIFICATION,
+    REGRESSION,
     REJECT,
     FactorizationError,
     RejectionPolicy,
+    TrainedGP,
     ZeroRejection,
     accuracy,
     decision_grid,
@@ -210,6 +213,24 @@ class TestFitClassification:
         # latent mean at a training point reproduces the mode
         reproduced = np.array([latent_mean(gp, x) for x in data.features])
         assert np.max(np.abs(reproduced - gp.latent_mode)) < 1e-6
+
+
+class TestTrainedGP:
+    @pytest.mark.parametrize("field", ["alpha", "latent_mode"])
+    def test_weights_of_the_wrong_length_refused(self, field):
+        # each weight vector holds one entry per training row
+        data = generate_two_moons(20, 0.1, 0)
+        weights = {"alpha": np.zeros(20), "latent_mode": np.zeros(20), field: np.zeros(3)}
+        with pytest.raises(ValueError, match=re.escape(f"{field} has shape (3,), expected (20,)")):
+            TrainedGP(KernelSpec(RBF), data, weights["alpha"], 1e-6, weights["latent_mode"])
+
+    def test_fits_share_their_dataset_and_mode_follows_latent_mode(self):
+        data = generate_two_moons(20, 0.1, 0)
+        regression = fit_regression(KernelSpec(RBF), data)
+        classification = fit_classification_laplace(KernelSpec(RBF), data)
+        assert regression.data is data and classification.data is data
+        assert regression.latent_mode is None and regression.mode == REGRESSION
+        assert classification.latent_mode is not None and classification.mode == CLASSIFICATION
 
 
 class TestPredict:

@@ -82,7 +82,7 @@ def fit(spec, data, mode):
 def copying_prediction(gp, X):
     """predict_batch's means and variances by the formula that copies k*."""
     chol_l, sw = gp.factor
-    k = kernel_matrix(gp.spec, X, gp.train_features)
+    k = kernel_matrix(gp.spec, X, gp.data.features)
     v = solve_triangular(chol_l, k.T if sw is None else sw[:, None] * k.T, lower=True)
     return k @ gp.alpha, np.maximum(self_similarity(gp.spec, X) - (v**2).sum(0), 0.0)
 
