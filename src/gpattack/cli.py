@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -308,11 +309,10 @@ def _fit_pair(cfg: ExperimentConfig, train: Dataset):
     return short, long
 
 
-def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _cmd_train(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     data = _build_dataset(cfg)
     train, test = split(data, cfg.train_fraction, cfg.seed)
     policy = RejectionPolicy(**cfg.rejection)
-    written = []
     report = {}
     # one victim at a time (fit, score, save, grid, release), so no victim's factor outlives its own grid
     for name, lengthscale in (("short", cfg.lengthscale_short), ("long", cfg.lengthscale_long)):
@@ -325,9 +325,7 @@ def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
             "test_with_rejection": _scores(means, test.labels, policy),
             "test_with_zero_rejection": _scores(means, test.labels, cfg.zero_rejection_eps),
         }
-        model_path = out / f"model_{name}.json"
-        save_gp(gp, model_path)
-        written.append(model_path)
+        save_gp(gp, out(f"model_{name}.json"))
         if data.d == 2:
             lo = data.features.min(axis=0) - 0.5
             hi = data.features.max(axis=0) + 0.5
@@ -337,17 +335,12 @@ def _cmd_train(cfg: ExperimentConfig, out: Path) -> list[Path]:
                 cfg.train["grid_resolution"],
                 policy,
             )
-            grid_path = out / f"grid_{name}.csv"
-            grid.write_csv(grid_path)
-            written.append(grid_path)
+            grid.write_csv(out(f"grid_{name}.csv"))
         del gp
-    path = out / "accuracy.json"
-    write_json(path, report)
-    written.append(path)
-    return written
+    write_json(out("accuracy.json"), report)
 
 
-def _cmd_evade(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _cmd_evade(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     data = _build_dataset(cfg)
     train, test = split(data, cfg.train_fraction, cfg.seed)
     short, long = _fit_pair(cfg, train)
@@ -375,21 +368,17 @@ def _cmd_evade(cfg: ExperimentConfig, out: Path) -> list[Path]:
     comparison = curvature_comparison(short, long, sets, true_labels, cfg.zero_rejection_eps)
     flip_rates = {name: float(np.mean([r.success for r in results])) for name, results in sets.items()}
 
-    csv_path = out / "attack_sets.csv"
-    write_attack_sets_csv(csv_path, sets, strengths)
-    json_path = out / "curvature.json"
-    write_json(json_path, {"comparison": comparison, "flip_rates_on_short": flip_rates})
-    return [csv_path, json_path]
+    write_attack_sets_csv(out("attack_sets.csv"), sets, strengths)
+    write_json(out("curvature.json"), {"comparison": comparison, "flip_rates_on_short": flip_rates})
 
 
-def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _cmd_extract(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     data = _build_dataset(cfg)
     train, rest = split(data, cfg.train_fraction, cfg.seed)
     ext = cfg.extract
     holdout_n = min(int(ext["holdout"]), rest.n // 2)
     holdout = rest.subset(np.arange(holdout_n))
     fresh = rest.subset(np.arange(holdout_n, rest.n))
-    written = []
 
     # analytic attacks run against a noiseless regression victim
     jitter = float(ext["jitter"])
@@ -420,9 +409,8 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
         restarts=8,
     )
     matched, distances = match_points(recovery.estimate, tiny.features, tiny.labels)
-    analytic_path = out / "extraction.json"
     write_json(
-        analytic_path,
+        out("extraction.json"),
         {
             "lengthscale": {
                 "true": cfg.lengthscale_short,
@@ -441,7 +429,6 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
             },
         },
     )
-    written.append(analytic_path)
 
     # empirical sweep against the classification victim, three data regimes
     victim = fit_classification_laplace(reg_spec, train)
@@ -458,9 +445,7 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
         sweep = estimate_lengthscale_sweep(
             oracle, attacker_data, regime, cfg.lengthscale_short, holdout, variance=reg_spec.variance
         )
-        path = out / f"sweep_{regime}.csv"
-        write_sweep_csv(path, sweep)
-        written.append(path)
+        write_sweep_csv(out(f"sweep_{regime}.csv"), sweep)
 
     candidates = [
         _spec(cfg, cfg.lengthscale_short),
@@ -468,18 +453,14 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path) -> list[Path]:
         KernelSpec(POLY, variance=reg_spec.variance),
     ]
     ranking = identify_kernel(oracle, candidates, train, holdout)
-    kernel_path = out / "kernel_id.csv"
-    write_kernel_distances_csv(kernel_path, ranking)
-    written.append(kernel_path)
-    return written
+    write_kernel_distances_csv(out("kernel_id.csv"), ranking)
 
 
-def _cmd_membership(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _cmd_membership(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     data = _build_dataset(cfg)
     train, rest = split(data, cfg.train_fraction, cfg.seed)
     mem = cfg.membership
     feature_set = mem["feature_set"]
-    written = []
     for name, lengthscale in (("short", cfg.lengthscale_short), ("long", cfg.lengthscale_long)):
         gp = fit_classification_laplace(_spec(cfg, lengthscale), train)
         attack_ds = build_attack_dataset(gp, train, rest, feature_set, seed=cfg.seed)
@@ -488,9 +469,8 @@ def _cmd_membership(cfg: ExperimentConfig, out: Path) -> list[Path]:
         result = evaluate_membership(clf, attack_test)
         gap = overfitting_gap(gp, train, rest)
         drift = distribution_drift(gp, train, rest)
-        path = out / f"membership_{name}.json"
         write_json(
-            path,
+            out(f"membership_{name}.json"),
             {
                 "feature_set": sorted(feature_set),
                 "accuracy": result["accuracy"],
@@ -501,11 +481,9 @@ def _cmd_membership(cfg: ExperimentConfig, out: Path) -> list[Path]:
                 "seed": cfg.seed,
             },
         )
-        written.append(path)
-    return written
 
 
-def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _cmd_secure_demo(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     sec = cfg.secure
     spec = _spec(cfg, cfg.lengthscale_long)
     ls = float(np.max(spec.lengthscales(2)))
@@ -537,9 +515,8 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
     close_grid = grid_points((-3.0 * ls, -3.0 * ls), (4.0 * ls, 4.0 * ls), max(resolution, 80))
     probe_learning = generalization_probe(close_gp, spec, rho, close_grid, policy)
 
-    path = out / "secure.json"
     write_json(
-        path,
+        out("secure.json"),
         {
             "rho": rho,
             "tau": 1.0 - rho,
@@ -549,9 +526,10 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Path) -> list[Path]:
             "learning_regime_fraction": probe_learning["outside_classified_fraction"],
         },
     )
-    return [path]
 
 
+# Each handler takes the config and `out`, which maps a report's file name to
+# its path in the output directory and records it for the manifest.
 _HANDLERS = {
     "train": _cmd_train,
     "evade": _cmd_evade,
@@ -561,20 +539,20 @@ _HANDLERS = {
 }
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def run(subcommand: str, cfg: ExperimentConfig) -> int:
     """Run one subcommand and write its reports plus a manifest. Returns 0
     iff all requested stages completed."""
     if subcommand not in _HANDLERS:
         raise ConfigError("subcommand", f"unknown subcommand {subcommand!r}")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = _HANDLERS[subcommand](cfg, out)
+    directory = Path(cfg.out)
+    directory.mkdir(parents=True, exist_ok=True)
+    reports = []
+
+    def out(name: str) -> Path:
+        reports.append(name)
+        return directory / name
+
+    _HANDLERS[subcommand](cfg, out)
     manifest = {
         "subcommand": subcommand,
         "config": asdict(cfg),
@@ -585,10 +563,10 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "artifacts": {path.name: _sha256(path) for path in written},
+        "artifacts": {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in reports},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(out / "manifest.json", manifest)
+    write_json(directory / "manifest.json", manifest)
     return 0
 
 

@@ -1,6 +1,6 @@
 """Synthetic dataset generation, CSV ingestion and splitting, plus the two
 rules every module shares: how a record freezes its arrays (`frozen_array`)
-and how a report file is written (`write_lines`, `write_json`).
+and how a report file is made (`write_lines`, `write_json`).
 
 Every generator is a pure function of its arguments: the same seed always
 produces the same dataset, bit for bit. Labels are canonicalized to {-1, +1}
@@ -43,7 +43,7 @@ class MissingColumnError(CsvFormatError):
 
 
 class NonNumericCellError(CsvFormatError):
-    """A feature cell could not be parsed as a number."""
+    """A feature cell is not a finite number."""
 
 
 class UnmappableLabelError(CsvFormatError):
@@ -72,7 +72,7 @@ def write_json(path, payload):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix (n x d) paired with labels in {-1, +1}."""
+    """Finite feature matrix (n x d) paired with labels in {-1, +1}."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -84,6 +84,10 @@ class Dataset:
             raise ValueError("features must be a 2-D matrix")
         if features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError("need at least one row and one feature column")
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"features row {row} is non-finite: {features[row].tolist()}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be a vector with one entry per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -193,11 +197,13 @@ def load_csv(path, label_column: str) -> Dataset:
                 if i == label_idx:
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
+                    problem = None if math.isfinite(value) else "non-finite"
                 except ValueError:
-                    raise NonNumericCellError(
-                        f"{path}: row {row_no}, column {header[i]!r}: non-numeric cell {cell!r}"
-                    ) from None
+                    problem = "non-numeric"
+                if problem:
+                    raise NonNumericCellError(f"{path}: row {row_no}, column {header[i]!r}: {problem} cell {cell!r}")
+                values.append(value)
             rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")

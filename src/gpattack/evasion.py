@@ -25,8 +25,8 @@ import numpy as np
 
 from .data import _require_nonnegative, frozen_array, write_lines
 from .gp import NumericalError, TrainedGP, ZeroRejection, latent_mean_batch
-from .gp import _latent_gradients, _latent_rows, _query_matrix, _query_row
-from .kernels import _require_positive
+from .gp import _latent_gradients, _latent_rows, _query_matrix
+from .kernels import _query_row, _require_positive
 
 __all__ = [
     "AttackConfig",

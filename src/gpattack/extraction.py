@@ -328,7 +328,7 @@ def recover_training_data_analytic(
         # strongly with that anchor's sign
         taken: set[int] = set()
         init = np.empty((n, d))
-        for i in np.argsort(-np.abs(labels)):  # stable order over anchors
+        for i in range(n):
             scores = labels[i] * targets
             for q in np.argsort(-scores):
                 if int(q) not in taken:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import Dataset, _require_nonnegative, frozen_array, write_json, write_lines
-from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, _require_positive, kernel_matrix
+from .kernels import KernelSpec, _kernel_block, _kernel_gradient_block, _query_row, _require_positive, kernel_matrix
 from .kernels import self_similarity
 
 __all__ = [
@@ -153,6 +153,7 @@ class TrainedGP:
     K(x, data.features)^T alpha, with K built with `jitter` added to its
     diagonal. `latent_mode` is the latent posterior mode for classification
     and None for regression; `mode` and `factor` derive from these fields.
+    `alpha` and `latent_mode` hold one finite entry per training row.
     """
 
     spec: KernelSpec
@@ -162,13 +163,13 @@ class TrainedGP:
     latent_mode: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "latent_mode"):
-            value = getattr(self, name)
-            if value is not None:
-                value = frozen_array(value)
-                if value.shape != (self.data.n,):
-                    raise ValueError(f"{name} has shape {value.shape}, expected {(self.data.n,)}")
-                object.__setattr__(self, name, value)
+        for name in ("alpha",) if self.latent_mode is None else ("alpha", "latent_mode"):
+            value = frozen_array(getattr(self, name))
+            if value.shape != (self.data.n,):
+                raise ValueError(f"{name} has shape {value.shape}, expected {(self.data.n,)}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} holds a non-finite value")
+            object.__setattr__(self, name, value)
 
     @property
     def mode(self) -> str:
@@ -280,7 +281,6 @@ def fit_classification_laplace(
     data: Dataset,
     max_iter: int = 100,
     tol: float = 1e-8,
-    objective_history: list | None = None,
     *,
     gram: np.ndarray | None = None,
 ) -> TrainedGP:
@@ -314,8 +314,6 @@ def fit_classification_laplace(
     f = np.zeros(n)
     a = np.zeros(n)
     current = objective(f, a)
-    if objective_history is not None:
-        objective_history.append(current)
     for iteration in range(max_iter):
         pi, w, sw, chol_b = _laplace_factor(K, f, B)
         b = w * f + (y01 - pi)
@@ -341,8 +339,6 @@ def fit_classification_laplace(
         # the accepted step's objective is the search's last value, on the same arrays
         f, a = accepted
         current = value
-        if objective_history is not None:
-            objective_history.append(current)
         if change < tol:
             break
 
@@ -364,14 +360,6 @@ def _query_matrix(gp: TrainedGP, X) -> np.ndarray:
 def latent_mean_batch(gp: TrainedGP, X) -> np.ndarray:
     X = _query_matrix(gp, X)
     return kernel_matrix(gp.spec, X, gp.data.features) @ gp.alpha
-
-
-def _query_row(x) -> np.ndarray:
-    """x as a 1 x d float matrix: a scalar or a matrix is not one query point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D query point")
-    return x[None, :]
 
 
 def _latent_rows(gp: TrainedGP, X) -> tuple[np.ndarray, np.ndarray]:
@@ -499,9 +487,10 @@ def _scores(means: np.ndarray, labels: np.ndarray, policy: RejectionPolicy | Zer
     return {"accuracy": float(correct.mean()), "reject_rate": float(rejected.mean())}
 
 
-def _to_json_dict(gp: TrainedGP) -> dict:
-    return {
-        "spec": gp.spec.to_json_dict(),
+def save_gp(gp: TrainedGP, path):
+    """Write the model as JSON; its "spec" block is the KernelSpec's fields."""
+    payload = {
+        "spec": asdict(gp.spec),
         "mode": gp.mode,
         "jitter": gp.jitter,
         "train_features": gp.data.features.tolist(),
@@ -509,10 +498,7 @@ def _to_json_dict(gp: TrainedGP) -> dict:
         "alpha": gp.alpha.tolist(),
         "latent_mode": None if gp.latent_mode is None else gp.latent_mode.tolist(),
     }
-
-
-def save_gp(gp: TrainedGP, path):
-    write_json(path, _to_json_dict(gp))
+    write_json(path, payload)
 
 
 # Relative tolerance of the stored-alpha check in load_gp: the residual of
@@ -522,33 +508,31 @@ def save_gp(gp: TrainedGP, path):
 _ALPHA_RTOL = 1e-8
 
 
-def _stored_array(payload: dict, key: str) -> np.ndarray:
-    value = np.array(payload[key], dtype=float)
-    if not np.isfinite(value).all():
-        raise ValueError(f"model file: {key} holds a non-finite value")
-    return value
-
-
 def load_gp(path) -> TrainedGP:
     """Reload a model saved by save_gp; its factor is rebuilt on first use.
 
-    A file save_gp could not have written raises ValueError: an unknown
-    mode, a kernel spec KernelSpec refuses (such as a non-finite
-    lengthscale, named in the message), arrays of the wrong shape,
-    non-finite values, a non-positive jitter, labels outside {-1, +1}, or
-    an `alpha` that does not solve its fit, (K + jitter I) alpha = labels
-    for regression and (K + jitter I) alpha = latent_mode for
-    classification, each to the relative tolerance _ALPHA_RTOL (1e-8).
+    A file save_gp could not have made raises ValueError: an unknown
+    mode, a spec block that is not KernelSpec's fields or that KernelSpec
+    refuses (such as a non-finite lengthscale, named in the message), the
+    arrays Dataset or TrainedGP refuse (a wrong shape, a non-finite value,
+    labels outside {-1, +1}), a non-positive jitter, or an `alpha` that
+    does not solve its fit, (K + jitter I) alpha = labels for regression
+    and (K + jitter I) alpha = latent_mode for classification, each to the
+    relative tolerance _ALPHA_RTOL (1e-8).
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     mode = payload["mode"]
     if mode not in (REGRESSION, CLASSIFICATION):
         raise ValueError(f"model file: unknown mode {mode!r}")
-    spec = KernelSpec.from_json_dict(payload["spec"])
-    data = Dataset(_stored_array(payload, "train_features"), _stored_array(payload, "train_labels"))
-    f = None if mode == REGRESSION else _stored_array(payload, "latent_mode")
-    gp = TrainedGP(spec, data, _stored_array(payload, "alpha"), _default_jitter(spec, float(payload["jitter"])), f)
+    try:
+        spec = KernelSpec(**payload["spec"])
+    except TypeError as exc:  # an unknown or missing key, a value of no usable type, or not an object
+        raise ValueError(f"model file: bad spec block {payload['spec']!r}: {exc}") from None
+    data = Dataset(payload["train_features"], payload["train_labels"])
+    # as an array, a null latent_mode is refused by its shape rather than read as regression
+    f = None if mode == REGRESSION else np.array(payload["latent_mode"], dtype=float)
+    gp = TrainedGP(spec, data, payload["alpha"], _default_jitter(spec, float(payload["jitter"])), f)
     K = _jittered_gram(spec, gp.data.features, gp.jitter)
     target = gp.data.labels if gp.latent_mode is None else gp.latent_mode
     residual = np.abs(K @ gp.alpha - target).max()

@@ -40,7 +40,8 @@ FAMILIES = (RBF, LINEAR, POLY)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus parameters. Immutable and JSON-serializable."""
+    """Kernel family plus parameters. Immutable; its fields, as
+    `dataclasses.asdict` lists them, are a model file's spec block."""
 
     family: str
     lengthscale: float | tuple[float, ...] = 1.0
@@ -83,29 +84,6 @@ class KernelSpec:
             return np.asarray(self.lengthscale, dtype=float)
         return np.full(d, float(self.lengthscale))
 
-    def to_json_dict(self) -> dict:
-        ls = self.lengthscale
-        return {
-            "family": self.family,
-            "lengthscale": list(ls) if isinstance(ls, tuple) else ls,
-            "variance": self.variance,
-            "degree": self.degree,
-            "offset": self.offset,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "KernelSpec":
-        ls = payload.get("lengthscale", 1.0)
-        if isinstance(ls, list):
-            ls = tuple(ls)
-        return cls(
-            family=payload["family"],
-            lengthscale=ls,
-            variance=payload.get("variance", 1.0),
-            degree=payload.get("degree", 2),
-            offset=payload.get("offset", 1.0),
-        )
-
 
 def _positive(value) -> bool:
     """value > 0 and finite; math.isfinite keeps the check cheap for the
@@ -119,16 +97,17 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _as_point(x) -> np.ndarray:
-    p = np.asarray(x, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("expected a 1-D point")
-    return p
+def _query_row(x) -> np.ndarray:
+    """x as a 1 x d float matrix: a scalar or a matrix is not one query point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D query point")
+    return x[None, :]
 
 
 def kernel_eval(spec: KernelSpec, x, x2) -> float:
     """Similarity of two points under the given kernel."""
-    return float(kernel_matrix(spec, _as_point(x), _as_point(x2))[0, 0])
+    return float(kernel_matrix(spec, _query_row(x), _query_row(x2))[0, 0])
 
 
 def scaled_sq_distances(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -220,7 +199,7 @@ def self_similarity(spec: KernelSpec, X) -> np.ndarray:
 
 def kernel_gradient_x_batch(spec: KernelSpec, x, X) -> np.ndarray:
     """Row i holds the gradient of k(x, X_i) with respect to x."""
-    return _kernel_gradient_block(spec, *_point_sets(_as_point(x), X))[0]
+    return _kernel_gradient_block(spec, *_point_sets(_query_row(x), X))[0]
 
 
 def _kernel_gradient_block(spec: KernelSpec, Q: np.ndarray, X: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
@@ -231,7 +210,7 @@ def _kernel_gradient_block(spec: KernelSpec, Q: np.ndarray, X: np.ndarray, k: np
     The RBF block, entry (r, i, j) = -(Q_rj - X_ij) / l_j^2 * k(Q_r, X_i), is
     built one dimension at a time from the same R x n difference slabs that
     `scaled_sq_distances` sums: each slab is negated, divided by l_j^2 and
-    multiplied by k in place, then written into column j. Elementwise passes
+    multiplied by k in place, then stored in column j. Elementwise passes
     over the whole R x n x d block would run over an inner axis of length d,
     which is 2 in every workload: on the `evade` attack blocks (n = 200) they
     took about three times as long. Each entry gets the same three roundings

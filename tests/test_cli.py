@@ -181,6 +181,25 @@ class TestMain:
         gp = load_gp(out / "model_short.json")
         assert np.isfinite(predict(gp, np.array([0.5, 0.5])).mean)
 
+    @pytest.mark.parametrize("subcommand", ["train", "evade", "extract", "membership", "secure-demo"])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, subcommand):
+        config_path = write_config(tmp_path / "config.json")
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(config_path), "--out", str(out)]) == 0
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert set(artifacts) == {path.name for path in out.iterdir()} - {"manifest.json"}
+        for name, digest in artifacts.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_non_finite_csv_cell_named(self, tmp_path, capsys):
+        csv = write_csv(tmp_path / "data.csv")
+        lines = csv.read_text().splitlines()
+        a, _, y = lines[14].split(",")
+        lines[14] = f"{a},nan,{y}"
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(csv), "--out", str(tmp_path / "out")]) == 1
+        assert f"{csv}: row 15, column 'b': non-finite cell 'nan'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section",
         [

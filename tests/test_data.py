@@ -32,6 +32,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.ones((0, 2)), np.array([]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        features = np.ones((3, 2))
+        features[1, 0] = value
+        with pytest.raises(ValueError, match="features row 1 is non-finite"):
+            Dataset(features, np.array([1.0, -1.0, 1.0]))
+
     def test_immutable(self):
         ds = Dataset(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
@@ -121,6 +128,17 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("a,y\nfoo,1\n")
         with pytest.raises(NonNumericCellError):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize(
+        "cell, problem",
+        [("foo", "non-numeric"), ("nan", "non-finite"), ("inf", "non-finite"), ("-Infinity", "non-finite")],
+    )
+    def test_bad_cell_named(self, tmp_path, cell, problem):
+        # float() parses nan and inf, which the fits cannot take
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b,y\n1,2,1\n3,{cell},0\n")
+        with pytest.raises(NonNumericCellError, match=f"row 3, column 'b': {problem} cell '{cell}'"):
             load_csv(path, "y")
 
     def test_missing_file(self, tmp_path):

@@ -33,7 +33,7 @@ from gpattack.gp import (
     predict_batch,
     save_gp,
 )
-from gpattack.kernels import RBF, KernelSpec, kernel_eval, kernel_matrix
+from gpattack.kernels import LINEAR, POLY, RBF, KernelSpec, kernel_eval, kernel_matrix
 
 
 def dense_inverse_prediction(spec, X, y, jitter, query):
@@ -200,10 +200,15 @@ class TestFitClassification:
             fit_classification_laplace(KernelSpec(RBF), ds)
 
     def test_objective_never_decreases(self):
+        # max_iter=k returns the iterate after k Newton steps; its objective
+        # log p(y|f) - 0.5 alpha^T f (with alpha = K^-1 f) must not fall as k grows
         data = generate_two_moons(60, 0.2, 1)
         history = []
-        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), data, objective_history=history)
-        assert len(history) > 2
+        for k in range(8):
+            gp = fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), data, max_iter=k)
+            f = gp.latent_mode
+            history.append(-float(np.logaddexp(0.0, -data.labels * f).sum()) - 0.5 * float(gp.alpha @ f))
+        assert len(set(history)) > 2
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(history[:-1])))
 
@@ -223,6 +228,19 @@ class TestTrainedGP:
         weights = {"alpha": np.zeros(20), "latent_mode": np.zeros(20), field: np.zeros(3)}
         with pytest.raises(ValueError, match=re.escape(f"{field} has shape (3,), expected (20,)")):
             TrainedGP(KernelSpec(RBF), data, weights["alpha"], 1e-6, weights["latent_mode"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["alpha", "latent_mode"])
+    def test_non_finite_weights_refused_by_name(self, field, value):
+        data = generate_two_moons(20, 0.1, 0)
+        weights = {"alpha": np.zeros(20), "latent_mode": np.zeros(20)}
+        weights[field][7] = value
+        with pytest.raises(ValueError, match=f"{field} holds a non-finite value"):
+            TrainedGP(KernelSpec(RBF), data, weights["alpha"], 1e-6, weights["latent_mode"])
+
+    def test_regression_on_a_nan_row_is_refused_before_the_fit(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_regression(KernelSpec(RBF), Dataset([[0.0, np.nan], [1.0, 1.0]], [1.0, -1.0]))
 
     def test_fits_share_their_dataset_and_mode_follows_latent_mode(self):
         data = generate_two_moons(20, 0.1, 0)
@@ -531,6 +549,24 @@ class TestSerialization:
         assert predict(loaded, q) == predict(gp, q)
         assert loaded.mode == CLASSIFICATION
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(RBF, lengthscale=(0.5, 2.0), variance=1.5),
+            KernelSpec(LINEAR, variance=0.5),
+            KernelSpec(POLY, degree=3, offset=0.2),
+        ],
+        ids=["per-dimension", "linear", "poly"],
+    )
+    def test_round_trip_keeps_the_spec_and_the_bytes(self, tmp_path, spec):
+        gp = fit_regression(spec, generate_blobs(8, 2, 2.0, 5), 1e-6)
+        save_gp(gp, tmp_path / "model.json")
+        loaded = load_gp(tmp_path / "model.json")
+        assert loaded.spec == spec
+        assert predict(loaded, [0.1, 0.4]) == predict(gp, [0.1, 0.4])
+        save_gp(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
     @staticmethod
     def corrupted(tmp_path, edit):
         data = generate_two_moons(40, 0.15, 3)
@@ -557,6 +593,22 @@ class TestSerialization:
         # the spec check runs first, before the alpha residual could fail on it
         path = self.corrupted(tmp_path, lambda p: p["spec"].update(lengthscale=lengthscale))
         with pytest.raises(ValueError, match="lengthscale.* finite"):
+            load_gp(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda p: p["spec"].update(colour="red"), lambda p: p.update(spec=[1.0]), lambda p: p["spec"].pop("family")],
+        ids=["unknown-key", "not-an-object", "no-family"],
+    )
+    def test_spec_block_that_is_not_kernel_spec_fields_rejected(self, tmp_path, edit):
+        path = self.corrupted(tmp_path, edit)
+        with pytest.raises(ValueError, match="model file: bad spec block"):
+            load_gp(path)
+
+    @pytest.mark.parametrize("field", ["alpha", "latent_mode"])
+    def test_missing_weights_rejected(self, tmp_path, field):
+        path = self.corrupted(tmp_path, lambda p: p.update({field: None}))
+        with pytest.raises(ValueError, match=f"{field} has shape"):
             load_gp(path)
 
     def test_label_outside_pm_one_rejected(self, tmp_path):
@@ -611,14 +663,16 @@ FITS = {
 
 class TestFactorOnFirstUse:
     def test_laplace_fit_factors_once_per_newton_iteration(self, dpotrf_calls):
-        history = []
-        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS, objective_history=history)
-        # one objective before the loop and one per accepted Newton step
-        assert dpotrf_calls() == len(history) - 1 > 1
-        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS, max_iter=3)
-        assert dpotrf_calls() == len(history) - 1 + 3
-        fit_classification_laplace(KernelSpec(RBF, lengthscale=0.4), MOONS, max_iter=0)
-        assert dpotrf_calls() == len(history) - 1 + 3
+        spec = KernelSpec(RBF, lengthscale=0.4)
+        converged = fit_classification_laplace(spec, MOONS)
+        steps = dpotrf_calls()
+        assert steps > 2
+        # max_iter=k stops after k steps, each factoring B once, until the fit converges
+        for k in range(steps + 3):
+            before = dpotrf_calls()
+            gp = fit_classification_laplace(spec, MOONS, max_iter=k)
+            assert dpotrf_calls() - before == min(k, steps)
+            assert np.array_equal(gp.latent_mode, converged.latent_mode) == (k >= steps)
 
     @pytest.mark.parametrize("mode", FITS)
     def test_only_a_variance_builds_the_factor(self, dpotrf_calls, mode):
