@@ -200,6 +200,9 @@ class ExperimentConfig:
             _check("dataset.n", _half, src["n"])
             if src["generator"] == "two_moons":  # blobs ignore the noise
                 _check("dataset.noise", _require_nonnegative, "noise", src["noise"])
+        blobs_only = sorted(src.keys() & {"d", "separation"})
+        if blobs_only and ("csv" in src or src["generator"] != "blobs"):
+            raise ConfigError(f"dataset.{blobs_only[0]}", "only the blobs generator takes it")
         short, long = (CSV_DEFAULT_SHORT, CSV_DEFAULT_LONG) if "csv" in src else (0.2, 2.0)
         if self.lengthscale_short is None:
             self.lengthscale_short = short
@@ -225,7 +228,10 @@ class ExperimentConfig:
         _check("attack.epsilon", _require_nonnegative, "epsilon", self.attack["epsilon"])
         _check("attack.jsma_step", _require_positive, "step", self.attack["jsma_step"])
         if self.kernel["family"] == RBF:  # a rho-ball needs an abating kernel
-            _check("secure.rho", _scaled_radius, _spec(self, self.lengthscale_long), self.secure["rho"])
+            spec = _spec(self, self.lengthscale_long)
+            _check("secure.rho", _scaled_radius, spec, self.secure["rho"])
+            anchors, labels = _secure_anchors(self, spec)
+            _check("secure.spacing_lengthscales", build_secure_classifier, anchors, labels, self.secure["rho"], spec)
 
 
 def _check_type(field_name: str, value, default):
@@ -483,14 +489,21 @@ def _cmd_membership(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
         )
 
 
+def _secure_anchors(cfg: ExperimentConfig, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The secure demo's anchors, `secure.n_anchors` points on the x axis
+    `secure.spacing_lengthscales` of `spec`'s longest lengthscale apart, with
+    alternating labels +1, -1, ..."""
+    n_anchors = int(cfg.secure["n_anchors"])
+    spacing = float(cfg.secure["spacing_lengthscales"]) * float(np.max(spec.lengthscales(2)))
+    anchors = np.column_stack([np.arange(n_anchors) * spacing, np.zeros(n_anchors)])
+    return anchors, np.where(np.arange(n_anchors) % 2 == 0, 1.0, -1.0)
+
+
 def _cmd_secure_demo(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     sec = cfg.secure
     spec = _spec(cfg, cfg.lengthscale_long)
     ls = float(np.max(spec.lengthscales(2)))
-    n_anchors = int(sec["n_anchors"])
-    spacing = float(sec["spacing_lengthscales"]) * ls
-    anchors = np.column_stack([np.arange(n_anchors) * spacing, np.zeros(n_anchors)])
-    labels = np.where(np.arange(n_anchors) % 2 == 0, 1.0, -1.0)
+    anchors, labels = _secure_anchors(cfg, spec)
     rho = float(sec["rho"])
     sc = build_secure_classifier(anchors, labels, rho, spec)
     gp = fit_regression(spec, Dataset(anchors, labels), jitter=1e-10)

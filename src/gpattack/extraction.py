@@ -18,15 +18,17 @@ a sweep's fits, take their kernel matrices from one `_LengthscalePath`.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .data import Dataset, rows_in, write_lines
 from .gp import TrainedGP, fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch, predict
-from .kernels import RBF, KernelSpec, _differences, _rbf, _scaled_sq_sum
+from .kernels import RBF, KernelSpec, _differences, _kernel_block, _kernel_gradient_block, _rbf, _scaled_sq_sum
 
 __all__ = [
     "ModelOracle",
@@ -270,8 +272,32 @@ def extract_lengthscale_analytic(
     )
 
 
-RECOVERY_MAX_EVALUATIONS = 150  # residual evaluations per least-squares start
+RECOVERY_MAX_EVALUATIONS = 400  # residual evaluations per start
 RECOVERY_TOL = 1e-9  # the residual norm below which a recovery has converged
+EPS = np.finfo(float).eps  # a step shorter than EPS * |x| is round-off
+
+
+def _recovery_jacobian(gp: TrainedGP, probes: np.ndarray) -> np.ndarray:
+    """The Q x (n*d) Jacobian of the refit's means at the Q probes P with
+    respect to its n x d anchors X, flattened row-major as X.ravel().
+
+    With g(u; v) = dk(u, v)/du, V = k(P, X) (K + jI)^-1 and s_i =
+    sum_b g(X_i; X_b) alpha_b, the mean m_q = k(p_q, X) alpha has
+    (Rasmussen & Williams 2006, ch. 5 and sec. 9.4)
+
+        dm_q/dX_i = alpha_i g(X_i; p_q) - V_qi s_i - alpha_i sum_a V_qa g(X_i; X_a),
+
+    the first term from k(p_q, X_i) and the others from alpha's dependence
+    on K. V comes from the refit's own factor, one solve against it."""
+    X, alpha = gp.data.features, gp.alpha
+    chol, _ = gp.factor
+    V = dpotrs(chol, _kernel_block(gp.spec, X, probes), lower=1)[0].T
+    to_probes = _kernel_gradient_block(gp.spec, X, probes)  # (n, Q, d): g(X_i; p_q)
+    to_anchors = _kernel_gradient_block(gp.spec, X, X)  # (n, n, d): g(X_i; X_a)
+    s = np.einsum("iad,a->id", to_anchors, alpha)
+    jac = alpha[None, :, None] * (to_probes.transpose(1, 0, 2) - np.einsum("qa,iad->qid", V, to_anchors))
+    jac -= V[:, :, None] * s[None]
+    return jac.reshape(len(probes), -1)
 
 
 def recover_training_data_analytic(
@@ -290,18 +316,22 @@ def recover_training_data_analytic(
     known kernel spec (lengthscale included) and known labels.
 
     Poses sum_q (observed_mean(x_q) - refit_mean(X_hat, x_q))^2 over
-    `query_budget` >= n*d+1 probes and minimizes it with scipy's
-    `least_squares` (trust-region reflective, finite-difference Jacobian
-    with relative step 1e-6, at most 150 residual evaluations per start),
-    from a matched-probe start and then seeded random restarts, until the
-    residual norm is below 1e-9. `cost_history` holds the best
-    start's squared residual norm at its start and after each accepted
-    step. `probe_box` is the attacker's prior on where the data lives, a
-    (lo, hi) pair of scalars or per-dimension vectors. Recovered anchors are
-    permutation-ambiguous within a label class; use `match_points` to align
-    them with a reference.
+    `query_budget` >= n*d+1 probes and minimizes it by damped Gauss-Newton
+    (Levenberg-Marquardt; Madsen, Nielsen & Tingleff 2004, alg. 3.16) on the
+    closed-form Jacobian of `_recovery_jacobian`, from a matched-probe start
+    and then seeded random restarts, until the residual norm is below
+    RECOVERY_TOL. Each step solves (J^T J + mu I) h = -J^T r through the SVD
+    of J; mu starts at 1e-3 times the largest diagonal entry of J^T J and
+    follows Nielsen's gain-ratio rule. A start stops once its residual norm
+    is below RECOVERY_TOL, after RECOVERY_MAX_EVALUATIONS residual
+    evaluations, when its step falls below round-off, or when mu leaves
+    (0, inf), which ends a start that keeps being rejected.
+    `cost_history` holds the best start's squared residual norm at its start
+    and after each accepted step. `probe_box` is the attacker's prior on
+    where the data lives, a (lo, hi) pair of scalars or per-dimension
+    vectors. Recovered anchors are permutation-ambiguous within a label
+    class; use `match_points` to align them with a reference.
     """
-    from scipy.optimize import least_squares  # imported here: large, and only extract uses it
     minimum = query_complexity(LENGTHSCALE_KNOWN_PER_DIM, n, d).queries
     if query_budget < minimum:
         raise ValueError(
@@ -318,10 +348,11 @@ def recover_training_data_analytic(
     probes = rng.uniform(lo, hi, size=(query_budget, d))
     targets = _observed_means(oracle, probes)
 
-    def residual_vector(flat: np.ndarray) -> np.ndarray:
-        candidate = Dataset(flat.reshape(n, d), labels)
-        gp = fit_regression(spec, candidate, jitter)
-        return latent_mean_batch(gp, probes) - targets
+    def refit(flat: np.ndarray) -> tuple[TrainedGP, np.ndarray, float]:
+        """The refit on candidate anchors `flat`, its residuals and cost."""
+        gp = fit_regression(spec, Dataset(flat.reshape(n, d), labels), jitter)
+        r = latent_mean_batch(gp, probes) - targets
+        return gp, r, float(r @ r)
 
     def matched_probe_init() -> np.ndarray:
         # seed each candidate anchor at the unclaimed probe responding most
@@ -337,35 +368,51 @@ def recover_training_data_analytic(
                     break
         return init.ravel()
 
+    def linearize(gp: TrainedGP, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Jacobian J = U S V^T at the refit `gp` with residuals r, as
+        V^T, S and S U^T r (the gradient J^T r in V's basis)."""
+        u, sv, vt = np.linalg.svd(_recovery_jacobian(gp, probes), full_matrices=False)
+        return vt, sv, sv * (u.T @ r)
+
+    def descend(flat: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
+        """One damped Gauss-Newton start: its last point, cost and accepted costs."""
+        gp, r, cost = refit(flat)
+        vt, sv, grad = linearize(gp, r)
+        mu, nu = 1e-3 * float(np.max(sv**2 @ vt**2)), 2.0  # 1e-3 max diag(J^T J)
+        history, evaluations = [cost], 1
+        while cost >= RECOVERY_TOL**2 and evaluations < RECOVERY_MAX_EVALUATIONS and 0.0 < mu < math.inf:
+            # (J^T J + mu I) h = -J^T r through the SVD, so no mu > 0 makes it singular
+            damped = sv**2 + mu
+            along = grad / damped  # -h in V's basis
+            step = -vt.T @ along
+            # the decrease the linearization predicts, h^T (mu h - J^T r), > 0 but for round-off
+            predicted = float(np.sum(along**2 * (damped + mu)))
+            if predicted <= 0 or np.linalg.norm(step) <= EPS * (np.linalg.norm(flat) + EPS):
+                break
+            trial = flat + step
+            trial_gp, trial_r, trial_cost = refit(trial)
+            evaluations += 1
+            gain = (cost - trial_cost) / predicted  # actual over predicted decrease
+            if gain > 0:
+                flat, cost = trial, trial_cost
+                history.append(cost)
+                vt, sv, grad = linearize(trial_gp, trial_r)
+                # a gain above 1 gives the floor 1/3 anyway; clamped, the cube cannot overflow
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(gain, 1.0) - 1.0) ** 3)
+                nu = 2.0
+            else:
+                mu *= nu
+                nu *= 2.0
+        return flat, cost, history
+
     best_flat: np.ndarray | None = None
     best_cost = np.inf
     history: list[float] = []
     for restart in range(max(restarts, 1)):
-        flat = matched_probe_init() if restart == 0 else rng.uniform(lo, hi, size=(n, d)).ravel()
-        r = residual_vector(flat)
-        run_history = [float(r @ r)]
-
-        def record(intermediate_result):
-            c = 2.0 * float(intermediate_result.cost)  # scipy's cost is half the squared norm
-            if c < run_history[-1]:  # an iteration whose step was rejected repeats the cost
-                run_history.append(c)
-            if c < RECOVERY_TOL**2:
-                raise StopIteration
-
-        solution = least_squares(
-            residual_vector,
-            flat,
-            method="trf",
-            diff_step=1e-6,
-            ftol=1e-15,
-            xtol=1e-15,
-            gtol=1e-15,
-            max_nfev=RECOVERY_MAX_EVALUATIONS,
-            callback=record,
-        )
-        c = float(solution.fun @ solution.fun)
+        start = matched_probe_init() if restart == 0 else rng.uniform(lo, hi, size=(n, d)).ravel()
+        flat, c, run_history = descend(start)
         if c < best_cost:
-            best_cost, best_flat, history = c, solution.x, run_history
+            best_cost, best_flat, history = c, flat, run_history
         if best_cost < RECOVERY_TOL**2:
             break
 
@@ -379,15 +426,48 @@ def recover_training_data_analytic(
     )
 
 
+def _min_cost_assignment(costs: np.ndarray) -> np.ndarray:
+    """The column assigned to each row of a square cost matrix, at least
+    total cost: the O(s^3) Hungarian method (Kuhn-Munkres) by shortest
+    augmenting paths, one row added per pass, with the Dijkstra-like inner
+    loop vectorized over the columns. Rows and columns count from 1; column
+    0 is a virtual one that each pass starts from."""
+    s = len(costs)
+    padded = np.pad(costs, ((1, 0), (1, 0)))  # so rows and columns index from 1
+    u, v = np.zeros(s + 1), np.zeros(s + 1)  # the dual potentials of rows and columns
+    match = np.zeros(s + 1, dtype=int)  # match[j]: the row holding column j, 0 for none
+    way = np.zeros(s + 1, dtype=int)  # the previous column on the shortest path
+    for row in range(1, s + 1):
+        match[0], col = row, 0
+        slack = np.full(s + 1, np.inf)
+        used = np.zeros(s + 1, dtype=bool)
+        while match[col] != 0:
+            used[col] = True
+            reduced = padded[match[col]] - u[match[col]] - v
+            closer = ~used & (reduced < slack)
+            slack[closer], way[closer] = reduced[closer], col
+            col = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[col]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while col:  # augment along the path back to the virtual column
+            match[col] = match[way[col]]
+            col = way[col]
+    assigned = np.empty(s, dtype=int)
+    assigned[match[1:] - 1] = np.arange(s)
+    return assigned
+
+
 def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     """Align recovered points to a reference by minimum-cost assignment.
 
     Matching is restricted to points with equal labels, since candidates are
-    only permutation-ambiguous within a label class. Returns the recovered
-    points reordered to line up with `reference`, plus per-row Euclidean
-    distances.
+    only permutation-ambiguous within a label class: each class's s x s
+    matrix of Euclidean distances goes to `_min_cost_assignment`. Returns
+    the recovered points reordered to line up with `reference`, plus
+    per-row Euclidean distances.
     """
-    from scipy.optimize import linear_sum_assignment
     recovered = np.asarray(recovered, dtype=float)
     reference = np.asarray(reference, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -397,10 +477,8 @@ def match_points(recovered, reference, labels) -> tuple[np.ndarray, np.ndarray]:
     for value in np.unique(labels):
         idx = np.flatnonzero(labels == value)
         block_rec = recovered[idx]
-        block_ref = reference[idx]
-        costs = np.linalg.norm(block_ref[:, None, :] - block_rec[None, :, :], axis=-1)
-        rows, cols = linear_sum_assignment(costs)
-        aligned[idx[rows]] = block_rec[cols]
+        costs = np.linalg.norm(reference[idx][:, None, :] - block_rec[None, :, :], axis=-1)
+        aligned[idx] = block_rec[_min_cost_assignment(costs)]
     distances = np.linalg.norm(aligned - reference, axis=1)
     return aligned, distances
 

@@ -206,6 +206,9 @@ def _kernel_gradient_block(spec: KernelSpec, Q: np.ndarray, X: np.ndarray, k: np
     """kernel_gradient_x_batch at every row of Q, without the argument checks
     (Q and X are float matrices of equal width); slice i is bit for bit the
     block at Q[i] alone. For RBF, `k` may hold k(Q, X), then not built again.
+    Two callers: the latent-mean gradients of the attacks, and the
+    training-data recovery's closed-form Jacobian, which takes it at the
+    candidate anchors against the probes and against the anchors themselves.
 
     The RBF block, entry (r, i, j) = -(Q_rj - X_ij) / l_j^2 * k(Q_r, X_i), is
     built one dimension at a time from the same R x n difference slabs that

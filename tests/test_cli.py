@@ -280,6 +280,10 @@ class TestMain:
             ("dataset.noise", {"dataset": {"generator": "two_moons", "noise": -0.1}}),
             ("secure.rho", {"secure": {"rho": -0.5}}),
             ("secure.rho", {"secure": {"rho": 1.5}}),
+            ("secure.spacing_lengthscales", {"secure": {"spacing_lengthscales": 0}}),
+            ("secure.spacing_lengthscales", {"secure": {"spacing_lengthscales": 2.0}}),
+            ("dataset.d", {"dataset": {"generator": "two_moons", "d": 3}}),
+            ("dataset.separation", {"dataset": {"generator": "two_moons", "separation": 9.0}}),
         ],
     )
     def test_stage_rule_exits_2_by_name(self, tmp_path, capsys, field, section):
@@ -424,20 +428,25 @@ class TestMain:
 
 
 def test_subcommands_run_without_scipy_special(tmp_path):
-    # scipy.special costs every process tens of milliseconds and megabytes to
-    # import; only extract needs it, through scipy.optimize
+    # scipy.special and scipy.optimize (which imports it) cost every process
+    # tens of milliseconds and megabytes to import, and no subcommand needs
+    # them; each runs in a fresh interpreter, so none hides another's imports
     config_path = write_config(tmp_path / "config.json", dataset={"generator": "two_moons", "n": 40, "noise": 0.2})
     script = (
         "import sys\n"
         "import gpattack.cli\n"
-        "for sub in ('train', 'evade', 'membership', 'secure-demo'):\n"
-        "    code = gpattack.cli.main([sub, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + sub])\n"
-        "    assert code == 0, (sub, code)\n"
-        "    assert 'scipy.special' not in sys.modules, sub\n"
+        "code = gpattack.cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "assert code == 0, code\n"
+        "loaded = sorted({'scipy.optimize', 'scipy.special'} & sys.modules.keys())\n"
+        "assert not loaded, loaded\n"
     )
     source_root = str(Path(gpattack.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(config_path), str(tmp_path)], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
+    for sub in ("train", "evade", "extract", "membership", "secure-demo"):
+        result = subprocess.run(
+            [sys.executable, "-c", script, sub, str(config_path), str(tmp_path / sub)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, (sub, result.stderr)

@@ -3,6 +3,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from gpattack import cli, extraction
 from gpattack.data import Dataset, generate_blobs, generate_two_moons, split
@@ -24,7 +27,7 @@ from gpattack.extraction import (
     write_kernel_distances_csv,
     write_sweep_csv,
 )
-from gpattack.gp import fit_classification_laplace, fit_regression, latent_mean
+from gpattack.gp import fit_classification_laplace, fit_regression, latent_mean, latent_mean_batch
 from gpattack.kernels import LINEAR, POLY, RBF, KernelSpec
 
 
@@ -380,6 +383,65 @@ class TestTrainingDataRecovery:
         aligned, distances = match_points(shuffled, reference, labels)
         assert np.allclose(aligned, reference, atol=2e-3)
         assert np.max(distances) < 2e-3
+
+
+class TestRecoveryJacobian:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        family=st.sampled_from(["rbf", "rbf_per_dim", "linear", "poly"]),
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences(self, family, n, d, seed):
+        rng = np.random.default_rng(seed)
+        spec = {
+            "rbf": KernelSpec(RBF, lengthscale=float(rng.uniform(0.5, 2.0))),
+            "rbf_per_dim": KernelSpec(RBF, lengthscale=tuple(rng.uniform(0.5, 2.0, d))),
+            "linear": KernelSpec(LINEAR),
+            "poly": KernelSpec(POLY, degree=3),
+        }[family]
+        anchors = rng.uniform(-1, 1, size=(n, d))
+        labels = rng.choice([-1.0, 1.0], size=n)
+        probes = rng.uniform(-2, 2, size=(n * d + 1, d))
+
+        def means(flat):
+            return latent_mean_batch(fit_regression(spec, Dataset(flat.reshape(n, d), labels), 1e-3), probes)
+
+        jac = extraction._recovery_jacobian(fit_regression(spec, Dataset(anchors, labels), 1e-3), probes)
+        h = 1e-6
+        steps = h * np.eye(n * d)
+        numeric = np.column_stack([(means(anchors.ravel() + e) - means(anchors.ravel() - e)) / (2 * h) for e in steps])
+        assert jac.shape == (n * d + 1, n * d)
+        np.testing.assert_allclose(jac, numeric, rtol=0, atol=1e-6 * max(1.0, float(np.max(np.abs(numeric)))))
+
+
+class TestMinCostAssignment:
+    @staticmethod
+    def assert_optimal(costs):
+        assigned = extraction._min_cost_assignment(costs)
+        assert sorted(assigned) == list(range(len(costs)))
+        rows, cols = linear_sum_assignment(costs)
+        assert costs[np.arange(len(costs)), assigned].sum() == pytest.approx(costs[rows, cols].sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_random_matches_scipy(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            self.assert_optimal(rng.uniform(0, 10, size=(size, size)))
+
+    @pytest.mark.parametrize("size", range(2, 10))
+    def test_ties_match_scipy(self, size):
+        rng = np.random.default_rng(100 + size)
+        for _ in range(20):
+            self.assert_optimal(rng.integers(0, 3, size=(size, size)).astype(float))
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 9])
+    def test_all_equal_costs(self, size):
+        self.assert_optimal(np.full((size, size), 2.5))
+
+    def test_one_by_one(self):
+        assert extraction._min_cost_assignment(np.array([[3.0]])).tolist() == [0]
 
 
 class TestLengthscaleSweep:
