@@ -230,7 +230,9 @@ class ExperimentConfig:
         if self.kernel["family"] == RBF:  # a rho-ball needs an abating kernel
             spec = _spec(self, self.lengthscale_long)
             _check("secure.rho", _scaled_radius, spec, self.secure["rho"])
-            anchors, labels = _secure_anchors(self, spec)
+            # neighbours are the closest differently labelled anchors, all equally far apart,
+            # so the first two hold the layout to the rule in O(1) for any secure.n_anchors
+            anchors, labels = _secure_anchors(self, spec, min(2, self.secure["n_anchors"]))
             _check("secure.spacing_lengthscales", build_secure_classifier, anchors, labels, self.secure["rho"], spec)
 
 
@@ -489,11 +491,10 @@ def _cmd_membership(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
         )
 
 
-def _secure_anchors(cfg: ExperimentConfig, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The secure demo's anchors, `secure.n_anchors` points on the x axis
-    `secure.spacing_lengthscales` of `spec`'s longest lengthscale apart, with
-    alternating labels +1, -1, ..."""
-    n_anchors = int(cfg.secure["n_anchors"])
+def _secure_anchors(cfg: ExperimentConfig, spec: KernelSpec, n_anchors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `n_anchors` of the secure demo's anchors, points on the x
+    axis `secure.spacing_lengthscales` of `spec`'s longest lengthscale apart,
+    with alternating labels +1, -1, ..."""
     spacing = float(cfg.secure["spacing_lengthscales"]) * float(np.max(spec.lengthscales(2)))
     anchors = np.column_stack([np.arange(n_anchors) * spacing, np.zeros(n_anchors)])
     return anchors, np.where(np.arange(n_anchors) % 2 == 0, 1.0, -1.0)
@@ -503,7 +504,7 @@ def _cmd_secure_demo(cfg: ExperimentConfig, out: Callable[[str], Path]) -> None:
     sec = cfg.secure
     spec = _spec(cfg, cfg.lengthscale_long)
     ls = float(np.max(spec.lengthscales(2)))
-    anchors, labels = _secure_anchors(cfg, spec)
+    anchors, labels = _secure_anchors(cfg, spec, int(sec["n_anchors"]))
     rho = float(sec["rho"])
     sc = build_secure_classifier(anchors, labels, rho, spec)
     gp = fit_regression(spec, Dataset(anchors, labels), jitter=1e-10)

@@ -18,7 +18,6 @@ a sweep's fits, take their kernel matrices from one `_LengthscalePath`.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -275,6 +274,8 @@ def extract_lengthscale_analytic(
 RECOVERY_MAX_EVALUATIONS = 400  # residual evaluations per start
 RECOVERY_TOL = 1e-9  # the residual norm below which a recovery has converged
 EPS = np.finfo(float).eps  # a step shorter than EPS * |x| is round-off
+GEODESIC_PROBE = 0.01  # the fraction of a step at which the residual's curvature along it is sampled
+GEODESIC_RATIO = 0.75  # the largest 2|a| / |h| at which a step keeps its geodesic acceleration a
 
 
 def _recovery_jacobian(gp: TrainedGP, probes: np.ndarray) -> np.ndarray:
@@ -288,7 +289,9 @@ def _recovery_jacobian(gp: TrainedGP, probes: np.ndarray) -> np.ndarray:
         dm_q/dX_i = alpha_i g(X_i; p_q) - V_qi s_i - alpha_i sum_a V_qa g(X_i; X_a),
 
     the first term from k(p_q, X_i) and the others from alpha's dependence
-    on K. V comes from the refit's own factor, one solve against it."""
+    on K. V is one solve against the refit's `gp.factor`, which a regression
+    model builds on first use, so each Jacobian also builds K and factors it
+    once more: an n x n Cholesky, small at the few anchors a recovery takes."""
     X, alpha = gp.data.features, gp.alpha
     chol, _ = gp.factor
     V = dpotrs(chol, _kernel_block(gp.spec, X, probes), lower=1)[0].T
@@ -298,6 +301,24 @@ def _recovery_jacobian(gp: TrainedGP, probes: np.ndarray) -> np.ndarray:
     jac = alpha[None, :, None] * (to_probes.transpose(1, 0, 2) - np.einsum("qa,iad->qid", V, to_anchors))
     jac -= V[:, :, None] * s[None]
     return jac.reshape(len(probes), -1)
+
+
+def _trust_region_step(sv: np.ndarray, grad: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """The step h minimizing |J h + r|^2 subject to |h| <= radius (More
+    1978), as -h in V's basis and its damping mu, given J = U S V^T's
+    singular values S and the gradient S U^T r: h = -(J^T J + mu I)^-1 J^T r
+    with mu = 0 when the Gauss-Newton step fits, and otherwise mu from
+    Newton's method on 1/|h(mu)| = 1/radius, started at 0 and stopped within
+    1% of the radius or after 10 iterations."""
+    mu = 0.0
+    for _ in range(10):
+        damped = sv**2 + mu
+        along = grad / damped
+        size = float(np.linalg.norm(along))
+        if size <= 1.01 * radius:
+            break
+        mu += (size / radius - 1.0) * size**2 / float(np.sum(along**2 / damped))
+    return along, mu
 
 
 def recover_training_data_analytic(
@@ -316,16 +337,22 @@ def recover_training_data_analytic(
     known kernel spec (lengthscale included) and known labels.
 
     Poses sum_q (observed_mean(x_q) - refit_mean(X_hat, x_q))^2 over
-    `query_budget` >= n*d+1 probes and minimizes it by damped Gauss-Newton
-    (Levenberg-Marquardt; Madsen, Nielsen & Tingleff 2004, alg. 3.16) on the
-    closed-form Jacobian of `_recovery_jacobian`, from a matched-probe start
-    and then seeded random restarts, until the residual norm is below
-    RECOVERY_TOL. Each step solves (J^T J + mu I) h = -J^T r through the SVD
-    of J; mu starts at 1e-3 times the largest diagonal entry of J^T J and
-    follows Nielsen's gain-ratio rule. A start stops once its residual norm
-    is below RECOVERY_TOL, after RECOVERY_MAX_EVALUATIONS residual
-    evaluations, when its step falls below round-off, or when mu leaves
-    (0, inf), which ends a start that keeps being rejected.
+    `query_budget` >= n*d+1 probes and minimizes it from a matched-probe
+    start and then seeded random restarts, until the residual norm is below
+    RECOVERY_TOL. Each start runs Levenberg-Marquardt in trust-region form
+    (More 1978; `_trust_region_step`) on the closed-form Jacobian of
+    `_recovery_jacobian`, taken through its SVD. The radius starts at the
+    longest lengthscale, is quartered after a step whose gain (actual over
+    predicted decrease) is below 1/4 and doubled after one at the radius
+    with a gain above 3/4. Each step also takes geodesic acceleration
+    (Transtrum & Sethna 2012): the residual is refitted at GEODESIC_PROBE of
+    the step, which yields its second derivative along the step, and the
+    second-order correction is kept when it is small against the step. This
+    follows the curved valleys in which a weakly sensed anchor otherwise
+    crawls. A step is accepted when it lowers the cost. A start stops once
+    its residual norm is below RECOVERY_TOL, when its next step would pass
+    RECOVERY_MAX_EVALUATIONS residual evaluations (two per step), or when
+    its step falls below round-off.
     `cost_history` holds the best start's squared residual norm at its start
     and after each accepted step. `probe_box` is the attacker's prior on
     where the data lives, a (lo, hi) pair of scalars or per-dimension
@@ -368,41 +395,47 @@ def recover_training_data_analytic(
                     break
         return init.ravel()
 
-    def linearize(gp: TrainedGP, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Jacobian J = U S V^T at the refit `gp` with residuals r, as
-        V^T, S and S U^T r (the gradient J^T r in V's basis)."""
+    def linearize(gp: TrainedGP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """J = U S V^T at the refit `gp`, as U, S and V^T cut to the singular
+        values above EPS * (n*d) * max(S_max, 1): along the others, a unit
+        move of the anchors changes the means by less than round-off."""
         u, sv, vt = np.linalg.svd(_recovery_jacobian(gp, probes), full_matrices=False)
-        return vt, sv, sv * (u.T @ r)
+        keep = sv > EPS * len(sv) * max(sv[0], 1.0)
+        return u[:, keep], sv[keep], vt[keep]
 
     def descend(flat: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
-        """One damped Gauss-Newton start: its last point, cost and accepted costs."""
+        """One start: its last point, cost and accepted costs."""
         gp, r, cost = refit(flat)
-        vt, sv, grad = linearize(gp, r)
-        mu, nu = 1e-3 * float(np.max(sv**2 @ vt**2)), 2.0  # 1e-3 max diag(J^T J)
+        u, sv, vt = linearize(gp)
+        radius = float(np.max(spec.lengthscales(d)))  # an anchor moved farther leaves the probes that sense it
         history, evaluations = [cost], 1
-        while cost >= RECOVERY_TOL**2 and evaluations < RECOVERY_MAX_EVALUATIONS and 0.0 < mu < math.inf:
-            # (J^T J + mu I) h = -J^T r through the SVD, so no mu > 0 makes it singular
-            damped = sv**2 + mu
-            along = grad / damped  # -h in V's basis
-            step = -vt.T @ along
-            # the decrease the linearization predicts, h^T (mu h - J^T r), > 0 but for round-off
-            predicted = float(np.sum(along**2 * (damped + mu)))
-            if predicted <= 0 or np.linalg.norm(step) <= EPS * (np.linalg.norm(flat) + EPS):
+        while cost >= RECOVERY_TOL**2 and evaluations + 2 <= RECOVERY_MAX_EVALUATIONS:
+            grad = sv * (u.T @ r)  # J^T r in V's basis
+            along, mu = _trust_region_step(sv, grad, radius)  # the step h is -along in V's basis
+            size = float(np.linalg.norm(along))  # |h|, as V's rows are orthonormal
+            # the decrease the linearization predicts, -2 h^T J^T r - |J h|^2, > 0 but for round-off
+            predicted = float(2.0 * along @ grad - np.sum((sv * along) ** 2))
+            if predicted <= 0 or size <= EPS * (np.linalg.norm(flat) + EPS):
                 break
-            trial = flat + step
+            # geodesic acceleration: r's second derivative along h by a finite difference, then
+            # the correction a/2 with a = -(J^T J + mu I)^-1 J^T r_hh, kept if 2|a| <= GEODESIC_RATIO |h|
+            _, nearby, _ = refit(flat - GEODESIC_PROBE * (vt.T @ along))
+            r_hh = 2.0 / GEODESIC_PROBE * ((nearby - r) / GEODESIC_PROBE + u @ (sv * along))
+            bend = sv * (u.T @ r_hh) / (2.0 * (sv**2 + mu))  # -a/2 in V's basis
+            if 4.0 * np.linalg.norm(bend) <= GEODESIC_RATIO * size:
+                along = along + bend
+            trial = flat - vt.T @ along
             trial_gp, trial_r, trial_cost = refit(trial)
-            evaluations += 1
+            evaluations += 2
             gain = (cost - trial_cost) / predicted  # actual over predicted decrease
+            if gain < 0.25:
+                radius = 0.25 * size
+            elif gain > 0.75 and size > 0.95 * radius:
+                radius *= 2.0
             if gain > 0:
-                flat, cost = trial, trial_cost
+                flat, r, cost = trial, trial_r, trial_cost
                 history.append(cost)
-                vt, sv, grad = linearize(trial_gp, trial_r)
-                # a gain above 1 gives the floor 1/3 anyway; clamped, the cube cannot overflow
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(gain, 1.0) - 1.0) ** 3)
-                nu = 2.0
-            else:
-                mu *= nu
-                nu *= 2.0
+                u, sv, vt = linearize(trial_gp)
         return flat, cost, history
 
     best_flat: np.ndarray | None = None

@@ -262,6 +262,24 @@ class TestMain:
         assert "invalid configuration" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_secure_spacing_check_builds_two_anchors(self, tmp_path, monkeypatch):
+        # every subcommand loads the config, so the layout check must not grow with secure.n_anchors
+        import gpattack.cli as cli
+
+        real, seen = cli.build_secure_classifier, []
+
+        def spy(anchors, *args):
+            seen.append(len(anchors))
+            return real(anchors, *args)
+
+        monkeypatch.setattr(cli, "build_secure_classifier", spy)
+        load_config(str(write_config(tmp_path / "config.json", secure={"n_anchors": 1000})), {})
+        assert seen == [2]
+        bad = write_config(tmp_path / "bad.json", secure={"n_anchors": 1000, "spacing_lengthscales": 2.0})
+        with pytest.raises(ConfigError, match="secure.spacing_lengthscales"):
+            load_config(str(bad), {})
+        assert seen == [2, 2]
+
     @pytest.mark.parametrize(
         "field, section",
         [

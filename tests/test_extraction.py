@@ -416,6 +416,35 @@ class TestRecoveryJacobian:
         np.testing.assert_allclose(jac, numeric, rtol=0, atol=1e-6 * max(1.0, float(np.max(np.abs(numeric)))))
 
 
+class TestTrustRegionStep:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        p=st.integers(1, 8),
+        extra=st.integers(1, 4),
+        log_radius=st.floats(-4, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solves_the_constrained_problem(self, p, extra, log_radius, seed):
+        # the Gauss-Newton step when it fits the radius, else the damped step whose length is the radius
+        rng = np.random.default_rng(seed)
+        jac = rng.normal(size=(p + extra, p)) * np.logspace(0, -3, p)
+        r = rng.normal(size=p + extra)
+        radius = 10.0**log_radius
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        along, mu = extraction._trust_region_step(sv, sv * (u.T @ r), radius)
+        step = -vt.T @ along
+        np.testing.assert_allclose(
+            (jac.T @ jac + mu * np.eye(p)) @ step, -jac.T @ r, rtol=0, atol=1e-9 * np.linalg.norm(jac.T @ r)
+        )
+        gauss_newton = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        if np.linalg.norm(gauss_newton) <= 1.01 * radius:
+            assert mu == 0.0
+            np.testing.assert_allclose(step, gauss_newton, rtol=1e-8, atol=1e-12)
+        else:
+            assert mu > 0.0
+            assert abs(np.linalg.norm(step) - radius) <= 0.01 * radius
+
+
 class TestMinCostAssignment:
     @staticmethod
     def assert_optimal(costs):
